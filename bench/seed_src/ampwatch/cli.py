@@ -1,0 +1,296 @@
+"""Command-line harness: simulate, run, eval, profile, replay.
+
+Exit codes: 0 success, 1 usage/config error, 2 data/parse error,
+3 insufficient training.
+"""
+
+import argparse
+import json
+import sys
+from dataclasses import fields as dataclass_fields
+
+from . import event_log
+from .errors import (
+    AmpwatchError,
+    InsufficientTrainingError,
+    InvalidInputError,
+    InvalidScenarioError,
+    LogParseError,
+    StreamOrderError,
+    UsageError,
+)
+from .evaluation import evaluate, report_kv, report_text
+from .pipeline import PipelineConfig, profile_inference, run_pipeline
+from .signal_core import RmsRecord
+from .simulator import (
+    AnomalyScenario,
+    ApplianceProfile,
+    ScenarioKind,
+    generate_trace,
+    read_labels,
+    write_labels,
+)
+from .zscore_model import ModelParams
+
+_SCENARIO_ALIASES = {
+    "long_on": ScenarioKind.THERMOSTAT_LONG_ON,
+    "thermostat_long_on": ScenarioKind.THERMOSTAT_LONG_ON,
+    "door_open": ScenarioKind.DOOR_OPEN,
+    "power_disruption": ScenarioKind.POWER_DISRUPTION,
+    "outage": ScenarioKind.POWER_DISRUPTION,
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with status 2 on bad usage; the CLI contract says 1
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _parse_scenario(text: str) -> AnomalyScenario:
+    parts = text.split(":")
+    if len(parts) not in (2, 3):
+        raise UsageError(f"scenario must be kind:start_s[:magnitude], got {text!r}")
+    kind = _SCENARIO_ALIASES.get(parts[0].strip().lower())
+    if kind is None:
+        raise UsageError(
+            f"unknown scenario kind {parts[0]!r}; "
+            f"expected one of {sorted(set(_SCENARIO_ALIASES))}"
+        )
+    try:
+        start = float(parts[1])
+        magnitude = float(parts[2]) if len(parts) == 3 else None
+    except ValueError:
+        raise UsageError(f"bad scenario numbers in {text!r}") from None
+    return AnomalyScenario(kind=kind, start_s=start, magnitude=magnitude)
+
+
+def _load_config(args) -> PipelineConfig:
+    values = {}
+    if getattr(args, "config", None):
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read config file: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"bad config file: {exc}") from None
+        known = {f.name for f in dataclass_fields(PipelineConfig)}
+        unknown = set(loaded) - known
+        if unknown:
+            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        values.update(loaded)
+    # flag overrides
+    for flag, key in (
+        ("training_cycles", "training_cycles"),
+        ("threshold", "z_threshold"),
+        ("watchdog_limit", "watchdog_off_limit_s"),
+        ("on_enter", "on_enter_amps"),
+        ("off_enter", "off_enter_amps"),
+        ("sigma_min", "sigma_min"),
+        ("grace", "match_grace_s"),
+        ("record_interval", "record_interval_s"),
+    ):
+        v = getattr(args, flag, None)
+        if v is not None:
+            values[key] = v
+    try:
+        return PipelineConfig(**values)
+    except (TypeError, InvalidInputError) as exc:
+        raise UsageError(f"bad configuration: {exc}") from None
+
+
+def _read_trace(path: str):
+    with open(path) as fh:
+        log = event_log.read_log(fh, strict=True)
+    return [RmsRecord(r.timestamp_s, r.rms_amps) for r in log]
+
+
+def _add_config_flags(p):
+    p.add_argument("--config", help="JSON file with PipelineConfig fields")
+    p.add_argument("--training-cycles", dest="training_cycles", type=int)
+    p.add_argument("--threshold", type=float, help="composite z-score cutoff")
+    p.add_argument("--watchdog-limit", dest="watchdog_limit", type=float,
+                   help="max continuous OFF seconds before the watchdog fires")
+    p.add_argument("--on-enter", dest="on_enter", type=float)
+    p.add_argument("--off-enter", dest="off_enter", type=float)
+    p.add_argument("--sigma-min", dest="sigma_min", type=float)
+    p.add_argument("--record-interval", dest="record_interval", type=int)
+
+
+def _cmd_simulate(args) -> int:
+    profile = ApplianceProfile(
+        record_interval_s=args.interval,
+        rms_noise_amps=args.noise,
+    )
+    scenarios = [_parse_scenario(s) for s in args.scenario or []]
+    duration_s = args.duration_days * 86400.0 if args.duration_days else args.duration_s
+    if not duration_s or duration_s <= 0:
+        raise UsageError("need --duration-days or --duration-s > 0")
+    records, labels = generate_trace(
+        profile, scenarios, duration_s, args.seed, start_timestamp_s=args.start_epoch
+    )
+    log = [
+        event_log.LogRecord(r.timestamp_s, r.rms_amps, None, 0, event_log.EventKind.NONE)
+        for r in records
+    ]
+    with open(args.out, "w") as fh:
+        event_log.write_log(log, fh)
+    with open(args.labels, "w") as fh:
+        write_labels(labels, fh)
+    print(f"wrote {len(records)} records to {args.out}, "
+          f"{len(labels)} labels to {args.labels}")
+    return 0
+
+
+def _cmd_run(args) -> int:
+    config = _load_config(args)
+    records = _read_trace(args.trace)
+    result = run_pipeline(config, records)
+    with open(args.log, "w") as fh:
+        event_log.write_log(result.log_records, fh)
+    with open(args.events, "w") as fh:
+        event_log.write_events(result.events, fh)
+    if args.model:
+        with open(args.model, "w") as fh:
+            result.model.save(fh)
+    print(f"processed {len(records)} records, "
+          f"{len(result.events)} anomaly events, "
+          f"model trained on {result.model.trained_on} cycles")
+    return 0
+
+
+def _cmd_eval(args) -> int:
+    config = _load_config(args)
+    with open(args.events) as fh:
+        events = event_log.read_events(fh)
+    with open(args.labels) as fh:
+        truth = read_labels(fh)
+    report = evaluate(events, truth, match_grace_s=config.match_grace_s)
+    print(report_text(report))
+    if args.report:
+        with open(args.report, "w") as fh:
+            fh.write(report_kv(report))
+    return 0
+
+
+def _cmd_profile(args) -> int:
+    config = _load_config(args)
+    if args.model:
+        with open(args.model) as fh:
+            params = ModelParams.load(fh)
+    else:
+        # train a model on a synthetic clean trace sized for training_cycles
+        profile = ApplianceProfile()
+        cycle_s = profile.on_duration_mean_s + profile.off_duration_mean_s
+        duration_s = cycle_s * (config.training_cycles + 4)
+        records, _ = generate_trace(profile, [], duration_s, args.seed)
+        params = run_pipeline(config, records).model
+    summary = profile_inference(params, config.z_threshold, args.trials)
+    print(f"score+detect over {summary['n_trials']} trials "
+          f"(model trained on {summary['trained_on']} cycles):")
+    print(f"  min    {summary['min_s'] * 1e6:9.2f} us")
+    print(f"  median {summary['median_s'] * 1e6:9.2f} us")
+    print(f"  p99    {summary['p99_s'] * 1e6:9.2f} us")
+    print(f"model state: {summary['stat_values']} statistical values "
+          f"+ {summary['counters']} counter")
+    print("note: host wall-clock timings; MCU latencies are not comparable")
+    return 0
+
+
+def _cmd_replay(args) -> int:
+    config = _load_config(args)
+    with open(args.log) as fh:
+        log = event_log.read_log(fh, strict=True)
+    records = [RmsRecord(r.timestamp_s, r.rms_amps) for r in log]
+    model = None
+    if args.model:
+        with open(args.model) as fh:
+            model = ModelParams.load(fh)
+    result = run_pipeline(config, records, model=model)
+    with open(args.out, "w") as fh:
+        event_log.write_log(result.log_records, fh)
+    print(f"replayed {len(records)} records, "
+          f"{len(result.events)} anomaly events, wrote {args.out}")
+    return 0
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(
+        prog="ampwatch",
+        description="Streaming RMS-current anomaly detection: "
+                    "simulate traces, run the detector, evaluate results.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("simulate", help="synthesize a trace CSV and labels CSV")
+    p.add_argument("--duration-days", type=float)
+    p.add_argument("--duration-s", type=float)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--interval", type=int, default=30)
+    p.add_argument("--noise", type=float, default=0.005)
+    p.add_argument("--start-epoch", type=int, default=1_700_000_000)
+    p.add_argument("--scenario", action="append",
+                   help="kind:start_s[:magnitude], repeatable; kinds: "
+                        "long_on, door_open, power_disruption")
+    p.add_argument("--out", required=True, help="trace CSV output path")
+    p.add_argument("--labels", required=True, help="labels CSV output path")
+    p.set_defaults(func=_cmd_simulate)
+
+    p = sub.add_parser("run", help="run the full pipeline over a trace CSV")
+    p.add_argument("--trace", required=True)
+    p.add_argument("--log", required=True, help="output log CSV")
+    p.add_argument("--events", required=True, help="output events CSV")
+    p.add_argument("--model", help="output model file")
+    _add_config_flags(p)
+    p.set_defaults(func=_cmd_run)
+
+    p = sub.add_parser("eval", help="score events against ground-truth labels")
+    p.add_argument("--events", required=True)
+    p.add_argument("--labels", required=True)
+    p.add_argument("--grace", type=float, help="match grace seconds")
+    p.add_argument("--report", help="write machine-readable key=value report")
+    _add_config_flags(p)
+    p.set_defaults(func=_cmd_eval)
+
+    p = sub.add_parser("profile", help="profile score+detect latency and state size")
+    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--model", help="load a model file instead of training one")
+    _add_config_flags(p)
+    p.set_defaults(func=_cmd_profile)
+
+    p = sub.add_parser("replay", help="parse an existing log and re-score it")
+    p.add_argument("--log", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--model", help="score with a saved model instead of retraining")
+    _add_config_flags(p)
+    p.set_defaults(func=_cmd_replay)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (LogParseError, StreamOrderError, InvalidScenarioError, InvalidInputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InsufficientTrainingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except AmpwatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,0 +1,179 @@
+"""CSV log records and anomaly events, with lossless round-trip parsing.
+
+Log schema (one line per RMS record, header optional):
+
+    timestamp,rms,zscore,flag,kind
+
+timestamp is integer epoch seconds; rms and zscore carry exactly 4
+fractional digits; zscore is empty while the model is still training;
+flag is 0/1 and must be 1 exactly when kind is not "none".
+"""
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+from typing import Iterable, List, Optional, TextIO
+
+from .errors import InvalidInputError, LogParseError
+
+LOG_HEADER = "timestamp,rms,zscore,flag,kind"
+EVENTS_HEADER = "detected_at,kind,composite,streak,cycle_start,cycle_end"
+
+
+class EventKind(str, Enum):
+    NONE = "none"
+    ZSCORE = "zscore"
+    WATCHDOG = "watchdog"
+
+
+@dataclass(frozen=True)
+class LogRecord:
+    timestamp_s: int
+    rms_amps: float
+    composite_z: Optional[float]  # None during the training phase
+    anomaly_flag: int
+    event_kind: EventKind
+
+    def __post_init__(self):
+        if self.rms_amps < 0 or not math.isfinite(self.rms_amps):
+            raise InvalidInputError("rms_amps must be finite and non-negative")
+        if self.anomaly_flag not in (0, 1):
+            raise InvalidInputError("anomaly_flag must be 0 or 1")
+        if (self.anomaly_flag == 1) != (self.event_kind != EventKind.NONE):
+            raise InvalidInputError("anomaly_flag must be 1 iff event_kind != none")
+
+
+@dataclass(frozen=True)
+class AnomalyEvent:
+    """A detector or watchdog firing."""
+
+    kind: EventKind
+    detected_at_s: int
+    composite: Optional[float]  # present iff kind == ZSCORE
+    streak: int
+    cycle_start_s: int
+    cycle_end_s: int
+
+    def __post_init__(self):
+        if self.kind == EventKind.NONE:
+            raise InvalidInputError("an anomaly event must have a non-none kind")
+        if (self.composite is not None) != (self.kind == EventKind.ZSCORE):
+            raise InvalidInputError("composite present iff kind is zscore")
+        if self.detected_at_s < self.cycle_start_s:
+            raise InvalidInputError("detected_at_s must be >= cycle_start_s")
+
+
+def serialize_record(record: LogRecord) -> str:
+    """One CSV line, deterministic formatting, no trailing newline."""
+    z = "" if record.composite_z is None else f"{record.composite_z:.4f}"
+    return (
+        f"{record.timestamp_s},{record.rms_amps:.4f},{z},"
+        f"{record.anomaly_flag},{record.event_kind.value}"
+    )
+
+
+def parse_record(line: str, line_number: Optional[int] = None) -> LogRecord:
+    """Inverse of serialize_record; raises LogParseError with position info."""
+    fields = line.rstrip("\n").split(",")
+    if len(fields) != 5:
+        raise LogParseError(
+            f"expected 5 columns, got {len(fields)}", line_number
+        )
+    ts_s, rms_s, z_s, flag_s, kind_s = fields
+    try:
+        ts = int(ts_s)
+    except ValueError:
+        raise LogParseError(f"bad timestamp {ts_s!r}", line_number, 1) from None
+    try:
+        rms = float(rms_s)
+    except ValueError:
+        raise LogParseError(f"bad rms {rms_s!r}", line_number, 2) from None
+    if rms < 0:
+        raise LogParseError("rms must be non-negative", line_number, 2)
+    if z_s == "":
+        z = None
+    else:
+        try:
+            z = float(z_s)
+        except ValueError:
+            raise LogParseError(f"bad zscore {z_s!r}", line_number, 3) from None
+    if flag_s not in ("0", "1"):
+        raise LogParseError(f"bad flag {flag_s!r}", line_number, 4)
+    flag = int(flag_s)
+    try:
+        kind = EventKind(kind_s)
+    except ValueError:
+        raise LogParseError(f"bad kind {kind_s!r}", line_number, 5) from None
+    if (flag == 1) != (kind != EventKind.NONE):
+        raise LogParseError(
+            f"flag {flag} inconsistent with kind {kind.value!r}", line_number, 4
+        )
+    return LogRecord(ts, rms, z, flag, kind)
+
+
+def write_log(records: Iterable[LogRecord], fh: TextIO) -> None:
+    fh.write(LOG_HEADER + "\n")
+    for rec in records:
+        fh.write(serialize_record(rec) + "\n")
+
+
+def read_log(fh: TextIO, strict: bool = True) -> List[LogRecord]:
+    """Parse a log file; tolerates a present or absent header line.
+
+    In strict mode, non-increasing timestamps are rejected.
+    """
+    records: List[LogRecord] = []
+    last_ts = None
+    for i, line in enumerate(fh, start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if i == 1 and line == LOG_HEADER:
+            continue
+        rec = parse_record(line, line_number=i)
+        if strict and last_ts is not None and rec.timestamp_s <= last_ts:
+            raise LogParseError(
+                f"timestamp {rec.timestamp_s} not after {last_ts}", i, 1
+            )
+        last_ts = rec.timestamp_s
+        records.append(rec)
+    return records
+
+
+def write_events(events: Iterable[AnomalyEvent], fh: TextIO) -> None:
+    fh.write(EVENTS_HEADER + "\n")
+    for ev in events:
+        comp = "" if ev.composite is None else f"{ev.composite:.4f}"
+        fh.write(
+            f"{ev.detected_at_s},{ev.kind.value},{comp},{ev.streak},"
+            f"{ev.cycle_start_s},{ev.cycle_end_s}\n"
+        )
+
+
+def read_events(fh: TextIO) -> List[AnomalyEvent]:
+    events: List[AnomalyEvent] = []
+    for i, line in enumerate(fh, start=1):
+        line = line.rstrip("\n")
+        if not line or (i == 1 and line == EVENTS_HEADER):
+            continue
+        fields = line.split(",")
+        if len(fields) != 6:
+            raise LogParseError(
+                f"expected 6 columns, got {len(fields)}", i
+            )
+        try:
+            kind = EventKind(fields[1])
+            comp = None if fields[2] == "" else float(fields[2])
+            events.append(
+                AnomalyEvent(
+                    kind=kind,
+                    detected_at_s=int(fields[0]),
+                    composite=comp,
+                    streak=int(fields[3]),
+                    cycle_start_s=int(fields[4]),
+                    cycle_end_s=int(fields[5]),
+                )
+            )
+        except (ValueError, InvalidInputError) as exc:
+            raise LogParseError(f"bad event line: {exc}", i) from None
+    return events

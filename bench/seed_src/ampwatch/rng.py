@@ -1,0 +1,68 @@
+"""Small self-contained pseudo-random generator for reproducible traces.
+
+The simulator deliberately avoids platform RNGs so that a (seed, config)
+pair produces the same trace on any machine.  The stream is xorshift64*
+(Marsaglia 2003, Vigna's multiplier) seeded through one splitmix64 step.
+
+    splitmix64(s):  z = s + 0x9E3779B97F4A7C15
+                    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+                    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+                    return z ^ (z >> 31)
+
+    xorshift64*:    x ^= x >> 12; x ^= x << 25; x ^= x >> 27
+                    output = x * 0x2545F4914F6CDD1D
+
+Uniform doubles take the top 53 bits; Gaussians use Box-Muller with the
+spare value cached.
+"""
+
+import math
+
+_MASK = (1 << 64) - 1
+
+
+def _splitmix64(x):
+    x = (x + 0x9E3779B97F4A7C15) & _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
+
+
+class DeterministicRng:
+    """xorshift64* stream with uniform and Gaussian helpers."""
+
+    def __init__(self, seed: int):
+        state = _splitmix64(int(seed) & _MASK)
+        if state == 0:
+            state = 0x9E3779B97F4A7C15
+        self._state = state
+        self._spare = None
+
+    def next_u64(self) -> int:
+        x = self._state
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK
+        x ^= x >> 27
+        self._state = x
+        return (x * 0x2545F4914F6CDD1D) & _MASK
+
+    def random(self) -> float:
+        """Uniform double in [0, 1) with 53 bits of entropy."""
+        return (self.next_u64() >> 11) * (2.0 ** -53)
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.random()
+
+    def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
+        if self._spare is not None:
+            z = self._spare
+            self._spare = None
+            return mu + sigma * z
+        # Box-Muller; u1 must be nonzero for the log
+        u1 = 0.0
+        while u1 == 0.0:
+            u1 = self.random()
+        u2 = self.random()
+        r = math.sqrt(-2.0 * math.log(u1))
+        self._spare = r * math.sin(2.0 * math.pi * u2)
+        return mu + sigma * r * math.cos(2.0 * math.pi * u2)

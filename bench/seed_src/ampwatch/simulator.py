@@ -1,0 +1,238 @@
+"""Deterministic appliance-trace synthesis with injectable faults.
+
+Traces are planned as alternating ON/OFF segments snapped to the record
+interval, then sampled on an exact timestamp lattice.  Scenarios attach
+to the first full compressor cycle whose span contains their start time:
+
+- ThermostatLongOn stretches that cycle's ON duration to the scenario
+  magnitude (default 5 h).
+- DoorOpen multiplies the drawn ON duration by a factor in [2, 3]
+  (delayed transition to OFF after the door event).
+- PowerDisruption lets the ON segment complete, then forces OFF-level
+  RMS for the scenario magnitude (default 2 h, beyond the watchdog
+  limit).
+
+Each scenario yields exactly one ground-truth label covering the
+anomalous interval.  All randomness comes from the package's own
+xorshift64* stream, so a (profile, scenarios, duration, seed) tuple
+produces the same records on any platform.
+"""
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
+
+from .errors import InvalidInputError, InvalidScenarioError, LogParseError
+from .rng import DeterministicRng
+from .signal_core import RmsRecord, SampleBlock
+
+LABELS_HEADER = "window_start,window_end,kind"
+
+DEFAULT_START_TIMESTAMP_S = 1_700_000_000
+
+
+class ScenarioKind(str, Enum):
+    THERMOSTAT_LONG_ON = "thermostat_long_on"
+    DOOR_OPEN = "door_open"
+    POWER_DISRUPTION = "power_disruption"
+
+
+DEFAULT_MAGNITUDES = {
+    ScenarioKind.THERMOSTAT_LONG_ON: 18_000.0,  # ~5 h runtime
+    ScenarioKind.DOOR_OPEN: 900.0,              # 15 min door event
+    ScenarioKind.POWER_DISRUPTION: 7_200.0,     # 2 h outage
+}
+
+
+@dataclass(frozen=True)
+class ApplianceProfile:
+    """Normal duty-cycle model of the monitored appliance."""
+
+    on_rms_min_amps: float = 0.86
+    on_rms_max_amps: float = 0.88
+    off_rms_amps: float = 0.07
+    on_duration_mean_s: float = 1800.0
+    on_duration_jitter: float = 0.10
+    off_duration_mean_s: float = 2700.0
+    off_duration_jitter: float = 0.10
+    rms_noise_amps: float = 0.005
+    record_interval_s: int = 30
+
+    def __post_init__(self):
+        if not 0 < self.on_rms_min_amps <= self.on_rms_max_amps:
+            raise InvalidInputError("bad ON rms range")
+        if not 0 <= self.off_rms_amps < self.on_rms_min_amps:
+            raise InvalidInputError("OFF rms must sit below the ON range")
+        if self.on_duration_mean_s <= 0 or self.off_duration_mean_s <= 0:
+            raise InvalidInputError("durations must be positive")
+        if not 0 <= self.on_duration_jitter < 1 or not 0 <= self.off_duration_jitter < 1:
+            raise InvalidInputError("jitter fractions must be in [0, 1)")
+        if self.rms_noise_amps < 0:
+            raise InvalidInputError("rms_noise_amps must be non-negative")
+        if self.record_interval_s <= 0:
+            raise InvalidInputError("record_interval_s must be positive")
+
+
+@dataclass(frozen=True)
+class AnomalyScenario:
+    kind: ScenarioKind
+    start_s: float
+    magnitude: Optional[float] = None  # kind-specific; None picks the default
+
+    def magnitude_or_default(self) -> float:
+        if self.magnitude is not None:
+            return self.magnitude
+        return DEFAULT_MAGNITUDES[self.kind]
+
+
+@dataclass(frozen=True)
+class GroundTruthLabel:
+    window_start_s: int
+    window_end_s: int
+    kind: ScenarioKind
+
+    def __post_init__(self):
+        if self.window_end_s <= self.window_start_s:
+            raise InvalidInputError("label window must have positive length")
+
+
+def _validate_scenarios(scenarios: Sequence[AnomalyScenario], duration_s: float):
+    ordered = sorted(scenarios, key=lambda s: s.start_s)
+    prev_end = None
+    for sc in ordered:
+        if not 0 <= sc.start_s < duration_s:
+            raise InvalidScenarioError(
+                f"scenario start {sc.start_s} outside trace duration"
+            )
+        mag = sc.magnitude_or_default()
+        if mag <= 0:
+            raise InvalidScenarioError("scenario magnitude must be positive")
+        if prev_end is not None and sc.start_s < prev_end:
+            raise InvalidScenarioError("scenarios overlap in time")
+        prev_end = sc.start_s + mag
+    return ordered
+
+
+def _plan_segments(profile, scenarios, duration_s, rng):
+    """Alternating (is_on, start, duration, level) segments plus labels.
+
+    Times are relative seconds on the record-interval lattice.
+    """
+    iv = profile.record_interval_s
+
+    def snap(x):
+        return max(iv, int(round(x / iv)) * iv)
+
+    def draw(mean, jitter):
+        return snap(rng.uniform(mean * (1 - jitter), mean * (1 + jitter)))
+
+    pending = list(scenarios)
+    segments = []
+    labels = []
+    t = 0
+    while t < duration_s:
+        on_d = draw(profile.on_duration_mean_s, profile.on_duration_jitter)
+        off_d = draw(profile.off_duration_mean_s, profile.off_duration_jitter)
+        if pending and pending[0].start_s < t + on_d + off_d:
+            sc = pending.pop(0)
+            mag = sc.magnitude_or_default()
+            if sc.kind == ScenarioKind.THERMOSTAT_LONG_ON:
+                on_d = snap(mag)
+                labels.append((t, t + on_d, sc.kind))
+            elif sc.kind == ScenarioKind.DOOR_OPEN:
+                on_d = snap(on_d * rng.uniform(2.0, 3.0))
+                labels.append((t, t + on_d, sc.kind))
+            else:  # POWER_DISRUPTION
+                off_d = snap(mag)
+                labels.append((t + on_d, t + on_d + off_d, sc.kind))
+        level = rng.uniform(profile.on_rms_min_amps, profile.on_rms_max_amps)
+        segments.append((True, t, on_d, level))
+        t += on_d
+        segments.append((False, t, off_d, profile.off_rms_amps))
+        t += off_d
+    return segments, labels
+
+
+def generate_trace(
+    profile: ApplianceProfile,
+    scenarios: Sequence[AnomalyScenario],
+    duration_s: float,
+    seed: int,
+    start_timestamp_s: int = DEFAULT_START_TIMESTAMP_S,
+) -> Tuple[List[RmsRecord], List[GroundTruthLabel]]:
+    """Synthesize an RMS record stream and its ground-truth labels."""
+    ordered = _validate_scenarios(scenarios, duration_s)
+    rng = DeterministicRng(seed)
+    segments, raw_labels = _plan_segments(profile, ordered, duration_s, rng)
+
+    iv = profile.record_interval_s
+    n_records = int(duration_s // iv)
+    records: List[RmsRecord] = []
+    seg_i = 0
+    for k in range(n_records):
+        t = k * iv
+        while seg_i + 1 < len(segments) and t >= segments[seg_i][1] + segments[seg_i][2]:
+            seg_i += 1
+        _, _, _, level = segments[seg_i]
+        rms = level
+        if profile.rms_noise_amps > 0:
+            rms += rng.gauss(0.0, profile.rms_noise_amps)
+        records.append(RmsRecord(start_timestamp_s + t, max(rms, 0.0)))
+
+    labels = [
+        GroundTruthLabel(start_timestamp_s + ws, start_timestamp_s + we, kind)
+        for ws, we, kind in raw_labels
+    ]
+    return records, labels
+
+
+def generate_waveform(
+    target_rms_amps: float,
+    n_samples: int,
+    mains_hz: float = 60.0,
+    sample_rate_hz: float = 6000.0,
+    noise_std_amps: float = 0.0,
+    seed: int = 0,
+) -> SampleBlock:
+    """Raw sine block whose noiseless RMS equals target_rms_amps."""
+    if n_samples <= 0:
+        raise InvalidInputError("n_samples must be positive")
+    if sample_rate_hz <= 2 * mains_hz:
+        raise InvalidInputError("sample rate must exceed twice the mains frequency")
+    if target_rms_amps < 0 or noise_std_amps < 0:
+        raise InvalidInputError("amplitudes must be non-negative")
+    rng = DeterministicRng(seed)
+    amplitude = target_rms_amps * math.sqrt(2.0)
+    w = 2.0 * math.pi * mains_hz / sample_rate_hz
+    samples = []
+    for i in range(n_samples):
+        s = amplitude * math.sin(w * i)
+        if noise_std_amps > 0:
+            s += rng.gauss(0.0, noise_std_amps)
+        samples.append(s)
+    return SampleBlock(samples=tuple(samples), sample_rate_hz=sample_rate_hz)
+
+
+def write_labels(labels: Iterable[GroundTruthLabel], fh: TextIO) -> None:
+    fh.write(LABELS_HEADER + "\n")
+    for lab in labels:
+        fh.write(f"{lab.window_start_s},{lab.window_end_s},{lab.kind.value}\n")
+
+
+def read_labels(fh: TextIO) -> List[GroundTruthLabel]:
+    labels: List[GroundTruthLabel] = []
+    for i, line in enumerate(fh, start=1):
+        line = line.rstrip("\n")
+        if not line or (i == 1 and line == LABELS_HEADER):
+            continue
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise LogParseError(f"expected 3 columns, got {len(fields)}", i)
+        try:
+            labels.append(
+                GroundTruthLabel(int(fields[0]), int(fields[1]), ScenarioKind(fields[2]))
+            )
+        except (ValueError, InvalidInputError) as exc:
+            raise LogParseError(f"bad label line: {exc}", i) from None
+    return labels
