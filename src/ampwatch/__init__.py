@@ -25,7 +25,7 @@ from .event_log import (
     parse_record,
     serialize_record,
 )
-from .pipeline import PipelineConfig, PipelineResult, profile_inference, run_pipeline
+from .pipeline import Monitor, PipelineConfig, PipelineResult, profile_inference, run_pipeline
 from .signal_core import AdcParams, RmsRecord, SampleBlock, adc_to_amps, compute_rms
 from .simulator import (
     AnomalyScenario,

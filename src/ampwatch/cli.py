@@ -5,23 +5,16 @@ Exit codes: 0 success, 1 usage/config error, 2 data/parse error,
 """
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import fields as dataclass_fields
 
 from . import event_log
-from .errors import (
-    AmpwatchError,
-    InsufficientTrainingError,
-    InvalidInputError,
-    InvalidScenarioError,
-    LogParseError,
-    StreamOrderError,
-    UsageError,
-)
+from .errors import AmpwatchError, InsufficientTrainingError, InvalidInputError, UsageError
 from .evaluation import evaluate, report_kv, report_text
-from .pipeline import PipelineConfig, profile_inference, run_pipeline
-from .signal_core import RmsRecord
+from .pipeline import Monitor, PipelineConfig, profile_inference, run_pipeline
 from .simulator import (
     AnomalyScenario,
     ApplianceProfile,
@@ -89,7 +82,6 @@ def _load_config(args) -> PipelineConfig:
         ("off_enter", "off_enter_amps"),
         ("sigma_min", "sigma_min"),
         ("grace", "match_grace_s"),
-        ("record_interval", "record_interval_s"),
     ):
         v = getattr(args, flag, None)
         if v is not None:
@@ -100,10 +92,35 @@ def _load_config(args) -> PipelineConfig:
         raise UsageError(f"bad configuration: {exc}") from None
 
 
-def _read_trace(path: str):
-    with open(path) as fh:
-        log = event_log.read_log(fh, strict=True)
-    return [RmsRecord(r.timestamp_s, r.rms_amps) for r in log]
+def _stream(config: PipelineConfig, in_path: str, out_path: str, model=None):
+    """Stream log CSV in_path through a Monitor into out_path.
+
+    out_path is written only once a model exists, so a failed run leaves
+    no output and out_path may be in_path.  Returns (records, events, model).
+    """
+    monitor = Monitor(config, model)
+    n_records = 0
+    events = []
+
+    def logged(src):
+        nonlocal n_records
+        for record in event_log.iter_log(src, strict=True):
+            log_record, event = monitor.step(record)
+            n_records += 1
+            if event is not None:
+                events.append(event)
+            yield log_record
+
+    part = out_path + ".part"
+    try:
+        with open(in_path) as src, open(part, "w") as dst:
+            event_log.write_log(logged(src), dst)
+        model = monitor.finish()
+        os.replace(part, out_path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+    return n_records, events, model
 
 
 def _add_config_flags(p):
@@ -115,7 +132,6 @@ def _add_config_flags(p):
     p.add_argument("--on-enter", dest="on_enter", type=float)
     p.add_argument("--off-enter", dest="off_enter", type=float)
     p.add_argument("--sigma-min", dest="sigma_min", type=float)
-    p.add_argument("--record-interval", dest="record_interval", type=int)
 
 
 def _cmd_simulate(args) -> int:
@@ -130,10 +146,10 @@ def _cmd_simulate(args) -> int:
     records, labels = generate_trace(
         profile, scenarios, duration_s, args.seed, start_timestamp_s=args.start_epoch
     )
-    log = [
+    log = (
         event_log.LogRecord(r.timestamp_s, r.rms_amps, None, 0, event_log.EventKind.NONE)
         for r in records
-    ]
+    )
     with open(args.out, "w") as fh:
         event_log.write_log(log, fh)
     with open(args.labels, "w") as fh:
@@ -145,18 +161,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    records = _read_trace(args.trace)
-    result = run_pipeline(config, records)
-    with open(args.log, "w") as fh:
-        event_log.write_log(result.log_records, fh)
+    n_records, events, model = _stream(config, args.trace, args.log)
     with open(args.events, "w") as fh:
-        event_log.write_events(result.events, fh)
+        event_log.write_events(events, fh)
     if args.model:
         with open(args.model, "w") as fh:
-            result.model.save(fh)
-    print(f"processed {len(records)} records, "
-          f"{len(result.events)} anomaly events, "
-          f"model trained on {result.model.trained_on} cycles")
+            model.save(fh)
+    print(f"processed {n_records} records, "
+          f"{len(events)} anomaly events, "
+          f"model trained on {model.trained_on} cycles")
     return 0
 
 
@@ -200,18 +213,13 @@ def _cmd_profile(args) -> int:
 
 def _cmd_replay(args) -> int:
     config = _load_config(args)
-    with open(args.log) as fh:
-        log = event_log.read_log(fh, strict=True)
-    records = [RmsRecord(r.timestamp_s, r.rms_amps) for r in log]
     model = None
     if args.model:
         with open(args.model) as fh:
             model = ModelParams.load(fh)
-    result = run_pipeline(config, records, model=model)
-    with open(args.out, "w") as fh:
-        event_log.write_log(result.log_records, fh)
-    print(f"replayed {len(records)} records, "
-          f"{len(result.events)} anomaly events, wrote {args.out}")
+    n_records, events, _ = _stream(config, args.log, args.out, model)
+    print(f"replayed {n_records} records, "
+          f"{len(events)} anomaly events, wrote {args.out}")
     return 0
 
 
@@ -250,7 +258,7 @@ def build_parser() -> _Parser:
     p.add_argument("--labels", required=True)
     p.add_argument("--grace", type=float, help="match grace seconds")
     p.add_argument("--report", help="write machine-readable key=value report")
-    _add_config_flags(p)
+    p.add_argument("--config", help="JSON file with PipelineConfig fields")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("profile", help="profile score+detect latency and state size")
@@ -278,16 +286,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (LogParseError, StreamOrderError, InvalidScenarioError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InsufficientTrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AmpwatchError as exc:
+    except (AmpwatchError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

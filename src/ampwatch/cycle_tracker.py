@@ -181,6 +181,3 @@ class CycleTracker:
         if new_state == CompressorState.ON:
             self._accumulate(record)
         return None
-
-    # alias matching the streaming-record vocabulary used elsewhere
-    ingest_record = ingest

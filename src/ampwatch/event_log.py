@@ -12,7 +12,7 @@ flag is 0/1 and must be 1 exactly when kind is not "none".
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Optional, TextIO
+from typing import Iterable, Iterator, List, Optional, TextIO
 
 from .errors import InvalidInputError, LogParseError
 
@@ -117,12 +117,11 @@ def write_log(records: Iterable[LogRecord], fh: TextIO) -> None:
         fh.write(serialize_record(rec) + "\n")
 
 
-def read_log(fh: TextIO, strict: bool = True) -> List[LogRecord]:
-    """Parse a log file; tolerates a present or absent header line.
+def iter_log(fh: TextIO, strict: bool = True) -> Iterator[LogRecord]:
+    """Parse a log file line by line; tolerates a present or absent header.
 
     In strict mode, non-increasing timestamps are rejected.
     """
-    records: List[LogRecord] = []
     last_ts = None
     for i, line in enumerate(fh, start=1):
         line = line.rstrip("\n")
@@ -136,8 +135,12 @@ def read_log(fh: TextIO, strict: bool = True) -> List[LogRecord]:
                 f"timestamp {rec.timestamp_s} not after {last_ts}", i, 1
             )
         last_ts = rec.timestamp_s
-        records.append(rec)
-    return records
+        yield rec
+
+
+def read_log(fh: TextIO, strict: bool = True) -> List[LogRecord]:
+    """The whole of iter_log as a list."""
+    return list(iter_log(fh, strict))
 
 
 def write_events(events: Iterable[AnomalyEvent], fh: TextIO) -> None:

@@ -11,7 +11,7 @@ z-score detections.
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from .cycle_tracker import (
     CompressorState,
@@ -39,8 +39,6 @@ from .zscore_model import (
 
 @dataclass
 class PipelineConfig:
-    block_size: int = 1000
-    record_interval_s: int = 30
     on_enter_amps: float = 0.45
     off_enter_amps: float = 0.20
     training_cycles: int = 50
@@ -53,8 +51,6 @@ class PipelineConfig:
         if self.training_cycles < 2:
             raise InvalidInputError("training_cycles must be at least 2")
         for name in (
-            "block_size",
-            "record_interval_s",
             "on_enter_amps",
             "off_enter_amps",
             "z_threshold",
@@ -79,91 +75,100 @@ class PipelineResult:
     model: Optional[ModelParams] = None
 
 
+class Monitor:
+    """The streaming detector, in fixed-size state: one record in, one log
+    record out.  A pre-trained ``model`` skips the training phase.
+    """
+
+    def __init__(self, config: PipelineConfig, model: Optional[ModelParams] = None):
+        self.config = config
+        self.tracker = CycleTracker(config.thresholds())
+        self.wd_config = config.watchdog()
+        self.stats = FeatureStats()
+        self.model = model
+        self.detector = DetectorState(threshold=config.z_threshold)
+        self.off_since: Optional[int] = None
+        self.wd_fired = False
+        self.last_composite: Optional[float] = None
+
+    def step(self, record: RmsRecord) -> Tuple[LogRecord, Optional[AnomalyEvent]]:
+        """Feed one record; only ``timestamp_s`` and ``rms_amps`` are read.
+
+        At most one event fires: a z-score event closes a cycle on the
+        record that starts the OFF streak, where the watchdog cannot fire.
+        """
+        tracker = self.tracker
+        features = tracker.ingest(record)
+        event = None
+        z_col = self.last_composite
+
+        if features is not None:
+            if self.model is None:
+                train_update(self.stats, features)
+                if self.stats.count >= self.config.training_cycles:
+                    self.model = finalize(self.stats, self.config.sigma_min)
+            else:
+                res = score(self.model, features)
+                self.last_composite = z_col = res.composite
+                if detect(self.detector, res.composite):
+                    event = AnomalyEvent(
+                        kind=EventKind.ZSCORE,
+                        detected_at_s=record.timestamp_s,
+                        composite=res.composite,
+                        streak=self.detector.streak,
+                        cycle_start_s=tracker.last_cycle_start_s,
+                        cycle_end_s=tracker.last_cycle_end_s,
+                    )
+
+        if tracker.state == CompressorState.OFF:
+            if self.off_since is None:
+                # stream starts OFF, or an ON->OFF transition just happened
+                self.off_since = record.timestamp_s
+                self.wd_fired = False
+            wd_event = check_watchdog(
+                record.timestamp_s, self.off_since, self.wd_config, self.wd_fired,
+                self.detector.streak,
+            )
+            if wd_event is not None:
+                self.wd_fired = True
+                event = wd_event
+        else:
+            self.off_since = None
+            self.wd_fired = False
+
+        log_record = LogRecord(
+            timestamp_s=record.timestamp_s,
+            rms_amps=record.rms_amps,
+            composite_z=z_col,
+            anomaly_flag=0 if event is None else 1,
+            event_kind=EventKind.NONE if event is None else event.kind,
+        )
+        return log_record, event
+
+    def finish(self) -> ModelParams:
+        """End of stream: the model, or InsufficientTrainingError."""
+        if self.model is None:
+            raise InsufficientTrainingError(
+                f"stream ended after {self.stats.count} completed cycles; "
+                f"{self.config.training_cycles} required"
+            )
+        return self.model
+
+
 def run_pipeline(
     config: PipelineConfig,
     records: Iterable[RmsRecord],
     model: Optional[ModelParams] = None,
 ) -> PipelineResult:
-    """Run the two-phase workflow over a record stream.
-
-    With a pre-trained ``model`` the training phase is skipped and every
-    completed cycle is scored.  Raises InsufficientTrainingError if the
-    stream ends before training completes.
-    """
-    tracker = CycleTracker(config.thresholds())
-    wd_config = config.watchdog()
-    stats = FeatureStats()
-    params = model
-    detector = DetectorState(threshold=config.z_threshold)
+    """Run a Monitor over the stream; collect its log, events and model."""
+    monitor = Monitor(config, model)
     result = PipelineResult()
-
-    off_since: Optional[int] = None
-    wd_fired = False
-    last_composite: Optional[float] = None
-
     for record in records:
-        features = tracker.ingest(record)
-        flag = 0
-        kind = EventKind.NONE
-        z_col = last_composite
-
-        if features is not None:
-            if params is None:
-                train_update(stats, features)
-                if stats.count >= config.training_cycles:
-                    params = finalize(stats, config.sigma_min)
-                    result.model = params
-            else:
-                res = score(params, features)
-                last_composite = res.composite
-                z_col = res.composite
-                if detect(detector, res.composite):
-                    event = AnomalyEvent(
-                        kind=EventKind.ZSCORE,
-                        detected_at_s=record.timestamp_s,
-                        composite=res.composite,
-                        streak=detector.streak,
-                        cycle_start_s=tracker.last_cycle_start_s,
-                        cycle_end_s=tracker.last_cycle_end_s,
-                    )
-                    result.events.append(event)
-                    flag = 1
-                    kind = EventKind.ZSCORE
-
-        if tracker.state == CompressorState.OFF:
-            if off_since is None:
-                # stream starts OFF, or an ON->OFF transition just happened
-                off_since = record.timestamp_s
-                wd_fired = False
-            wd_event = check_watchdog(
-                record.timestamp_s, off_since, wd_config, wd_fired, detector.streak
-            )
-            if wd_event is not None:
-                wd_fired = True
-                result.events.append(wd_event)
-                flag = 1
-                kind = EventKind.WATCHDOG
-        else:
-            off_since = None
-            wd_fired = False
-
-        result.log_records.append(
-            LogRecord(
-                timestamp_s=record.timestamp_s,
-                rms_amps=record.rms_amps,
-                composite_z=z_col,
-                anomaly_flag=flag,
-                event_kind=kind,
-            )
-        )
-
-    if params is None and model is None:
-        raise InsufficientTrainingError(
-            f"stream ended after {stats.count} completed cycles; "
-            f"{config.training_cycles} required"
-        )
-    if result.model is None:
-        result.model = params
+        log_record, event = monitor.step(record)
+        result.log_records.append(log_record)
+        if event is not None:
+            result.events.append(event)
+    result.model = monitor.finish()
     return result
 
 

@@ -10,7 +10,8 @@ from typing import Sequence
 
 from .errors import InvalidInputError
 
-DEFAULT_BLOCK_SIZE = 1000
+# fsum totals below this may have lost bits to subnormal squares
+_MIN_EXACT_SUM = 2.0 ** -960
 
 
 @dataclass(frozen=True)
@@ -64,12 +65,26 @@ def compute_rms(block: SampleBlock) -> float:
     """Root mean square of the block's samples.
 
     Squared samples are accumulated with math.fsum, so the result is
-    bit-identical under any permutation of the input.
+    bit-identical under any permutation of the input.  When the squares
+    would underflow or overflow, the samples are first scaled by an exact
+    power of two and the result scaled back.
     """
-    n = len(block.samples)
+    samples = block.samples
+    n = len(samples)
     if n == 0:
         raise InvalidInputError("cannot compute RMS of an empty block")
-    return math.sqrt(math.fsum(s * s for s in block.samples) / n)
+    try:
+        total = math.fsum(s * s for s in samples)
+    except OverflowError:
+        total = math.inf
+    if _MIN_EXACT_SUM <= total < math.inf:
+        return math.sqrt(total / n)
+    peak = max(abs(s) for s in samples)
+    if peak == 0.0:
+        return 0.0
+    _, exp = math.frexp(peak)
+    total = math.fsum(math.ldexp(s, -exp) ** 2 for s in samples)
+    return math.ldexp(math.sqrt(total / n), exp)
 
 
 def adc_to_amps(count: int, params: AdcParams) -> float:

@@ -56,8 +56,12 @@ class ModelParams:
     def __post_init__(self):
         if len(self.mean) != N_FEATURES or len(self.std) != N_FEATURES:
             raise InvalidInputError("model must hold 5 means and 5 stds")
+        if not all(math.isfinite(v) for v in (*self.mean, *self.std)):
+            raise InvalidInputError("model means and stds must be finite")
         if any(s <= 0 for s in self.std):
             raise InvalidInputError("finalized stds must be positive")
+        if self.trained_on < 2:
+            raise InvalidInputError("trained_on must be at least 2")
 
     def to_text(self) -> str:
         """Plain-text key-value block; floats use shortest round-trip repr."""
@@ -84,6 +88,8 @@ class ModelParams:
             std = tuple(float(kv.pop(f"std.{n}")) for n in FEATURE_NAMES)
         except KeyError as exc:
             raise InvalidInputError(f"missing model key {exc}") from None
+        except ValueError as exc:
+            raise InvalidInputError(f"bad model value: {exc}") from None
         if kv:
             raise InvalidInputError(f"unexpected model keys {sorted(kv)}")
         return cls(mean=mean, std=std, trained_on=trained_on)

@@ -1,11 +1,15 @@
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from ampwatch import event_log
 from ampwatch.cli import main
+from ampwatch.pipeline import PipelineConfig, run_pipeline
+from ampwatch.zscore_model import FEATURE_NAMES
 
 
 def run_cli(args):
@@ -105,6 +109,71 @@ def test_replay_reproduces_composites(workspace, tmp_path):
     assert [r.composite_z for r in replayed] == [r.composite_z for r in original]
 
 
+def test_replay_in_place_matches_replay_elsewhere(workspace, tmp_path):
+    simulate(workspace)
+    log = workspace["log"]
+    assert main(["run", "--trace", str(workspace["trace"]), "--log", str(log),
+                 "--events", str(workspace["events"])]) == 0
+    elsewhere = tmp_path / "replayed.csv"
+    assert main(["replay", "--log", str(log), "--out", str(elsewhere)]) == 0
+    assert main(["replay", "--log", str(log), "--out", str(log)]) == 0
+    assert log.read_bytes() == elsewhere.read_bytes()
+
+
+def test_run_writes_what_the_library_pipeline_returns(workspace):
+    simulate(workspace)
+    assert main(["run", "--trace", str(workspace["trace"]),
+                 "--log", str(workspace["log"]),
+                 "--events", str(workspace["events"])]) == 0
+    with open(workspace["trace"]) as fh:
+        result = run_pipeline(PipelineConfig(), event_log.read_log(fh))
+    log, events = io.StringIO(), io.StringIO()
+    event_log.write_log(result.log_records, log)
+    event_log.write_events(result.events, events)
+    assert result.events
+    assert workspace["log"].read_text() == log.getvalue()
+    assert workspace["events"].read_text() == events.getvalue()
+
+
+@pytest.mark.parametrize("corrupt, flags, code", [
+    (False, [], 3),  # one day is too short for 50 training cycles
+    (True, ["--training-cycles", "5"], 2),  # trained, then a bad line
+])
+def test_failed_run_leaves_no_output(tmp_path, corrupt, flags, code):
+    trace = tmp_path / "trace.csv"
+    assert main(["simulate", "--duration-days", "1", "--seed", "1",
+                 "--out", str(trace), "--labels", str(tmp_path / "labels.csv")]) == 0
+    if corrupt:
+        lines = trace.read_text().splitlines(keepends=True)
+        lines[len(lines) // 2] = "garbage\n"
+        trace.write_text("".join(lines))
+    log = tmp_path / "log.csv"
+    assert main(["run", "--trace", str(trace), "--log", str(log),
+                 "--events", str(tmp_path / "events.csv"), *flags]) == code
+    assert not log.exists()
+    assert not (tmp_path / "events.csv").exists()
+    assert list(tmp_path.glob("*.part")) == []
+
+
+def test_run_memory_does_not_grow_with_trace_length(tmp_path):
+    def run_peak(days):
+        trace = tmp_path / f"trace{days}.csv"
+        assert main(["simulate", "--duration-days", str(days), "--seed", "2",
+                     "--out", str(trace), "--labels", str(tmp_path / "labels.csv")]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["run", "--trace", str(trace), "--log", str(tmp_path / "log.csv"),
+                         "--events", str(tmp_path / "events.csv"),
+                         "--training-cycles", "20"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = run_peak(2), run_peak(20)
+    assert long < 2**20
+    assert long < 2 * short
+
+
 def test_config_file_and_flag_override(workspace, tmp_path):
     simulate(workspace, seed=3)
     cfg = tmp_path / "config.json"
@@ -155,6 +224,17 @@ class TestExitCodes:
         r = run_cli(["simulate", "--duration-s", "7200", "--scenario", "meltdown:10",
                      "--out", str(tmp_path / "t"), "--labels", str(tmp_path / "l")])
         assert r.returncode == 1
+
+    def test_corrupt_model_is_2(self, tmp_path):
+        log = tmp_path / "log.csv"
+        log.write_text("1700000000,0.0700,,0,none\n")
+        model = tmp_path / "model.txt"
+        model.write_text("trained_on=50\n" + "".join(
+            f"mean.{name}=1.0\nstd.{name}=nan\n" for name in FEATURE_NAMES))
+        out = tmp_path / "out.csv"
+        r = run_cli(["replay", "--log", str(log), "--model", str(model), "--out", str(out)])
+        assert r.returncode == 2
+        assert not out.exists()
 
     def test_overlapping_scenarios_is_2(self, tmp_path):
         r = run_cli(["simulate", "--duration-days", "1",

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ampwatch.errors import InvalidInputError
@@ -48,6 +48,9 @@ class TestComputeRms:
         st.floats(-1000, 1000).filter(lambda c: abs(c) > 1e-9),
     )
     @settings(max_examples=200)
+    @example([3e-162, 1e-163], 1000.0)  # squares underflow into subnormals
+    @example([1e-170], 2.0)  # squares underflow to zero
+    @example([2.0, -7.5], 1e300)  # squares overflow
     def test_scale_homogeneity(self, samples, c):
         base = compute_rms(block(samples))
         scaled = compute_rms(block([c * s for s in samples]))

@@ -205,3 +205,21 @@ class TestSerialization:
     def test_nonpositive_std_rejected(self):
         with pytest.raises(InvalidInputError):
             ModelParams(mean=(0.0,) * 5, std=(1.0, 1.0, 0.0, 1.0, 1.0), trained_on=5)
+
+    @pytest.mark.parametrize("key, value", [
+        ("std.rms_std", "nan"),
+        ("std.rms_std", "inf"),
+        ("mean.rms_mean", "nan"),
+        ("mean.rms_mean", "-inf"),
+        ("mean.rms_mean", "x"),
+        ("trained_on", "-3"),
+        ("trained_on", "1"),
+        ("trained_on", "many"),
+    ])
+    def test_corrupt_model_text_rejected(self, key, value):
+        lines = [
+            f"{key}={value}" if line.split("=")[0] == key else line
+            for line in trained_params().to_text().splitlines()
+        ]
+        with pytest.raises(InvalidInputError):
+            ModelParams.from_text("\n".join(lines))
