@@ -14,7 +14,7 @@ from dataclasses import fields as dataclass_fields
 from . import event_log
 from .errors import AmpwatchError, InsufficientTrainingError, InvalidInputError, UsageError
 from .evaluation import evaluate, report_kv, report_text
-from .pipeline import Monitor, PipelineConfig, profile_inference, run_pipeline
+from .pipeline import PROFILE_BATCH, Monitor, PipelineConfig, profile_inference, run_pipeline
 from .simulator import (
     AnomalyScenario,
     ApplianceProfile,
@@ -92,11 +92,31 @@ def _load_config(args) -> PipelineConfig:
         raise UsageError(f"bad configuration: {exc}") from None
 
 
-def _stream(config: PipelineConfig, in_path: str, out_path: str, model=None):
-    """Stream log CSV in_path through a Monitor into out_path.
+@contextlib.contextmanager
+def _all_or_nothing(paths):
+    """Yield one ``<path>.part`` per target path and rename every part onto
+    its target only when the block completes, so a failed command leaves
+    no output and a target may also be the command's input.
+    """
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path is a directory: {path!r}")
+    parts = [path + ".part" for path in paths]
+    try:
+        yield parts
+        for part, path in zip(parts, paths):
+            os.replace(part, path)
+    finally:
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
 
-    out_path is written only once a model exists, so a failed run leaves
-    no output and out_path may be in_path.  Returns (records, events, model).
+
+def _stream(config: PipelineConfig, in_path: str, out, model=None):
+    """Stream log CSV in_path through a Monitor into the open file out.
+
+    Returns (records, events, model); raises InsufficientTrainingError
+    when the stream ends before a model exists.
     """
     monitor = Monitor(config, model)
     n_records = 0
@@ -111,16 +131,9 @@ def _stream(config: PipelineConfig, in_path: str, out_path: str, model=None):
                 events.append(event)
             yield log_record
 
-    part = out_path + ".part"
-    try:
-        with open(in_path) as src, open(part, "w") as dst:
-            event_log.write_log(logged(src), dst)
-        model = monitor.finish()
-        os.replace(part, out_path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(part)
-    return n_records, events, model
+    with open(in_path) as src:
+        event_log.write_log(logged(src), out)
+    return n_records, events, monitor.finish()
 
 
 def _add_config_flags(p):
@@ -146,10 +159,8 @@ def _cmd_simulate(args) -> int:
     records, labels = generate_trace(
         profile, scenarios, duration_s, args.seed, start_timestamp_s=args.start_epoch
     )
-    log = (
-        event_log.LogRecord(r.timestamp_s, r.rms_amps, None, 0, event_log.EventKind.NONE)
-        for r in records
-    )
+    none = event_log.EventKind.NONE
+    log = (event_log.LogRecord(r.timestamp_s, r.rms_amps, None, 0, none) for r in records)
     with open(args.out, "w") as fh:
         event_log.write_log(log, fh)
     with open(args.labels, "w") as fh:
@@ -161,12 +172,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    n_records, events, model = _stream(config, args.trace, args.log)
-    with open(args.events, "w") as fh:
-        event_log.write_events(events, fh)
-    if args.model:
-        with open(args.model, "w") as fh:
-            model.save(fh)
+    targets = [args.log, args.events] + ([args.model] if args.model else [])
+    with _all_or_nothing(targets) as parts:
+        with open(parts[0], "w") as fh:
+            n_records, events, model = _stream(config, args.trace, fh)
+        with open(parts[1], "w") as fh:
+            event_log.write_events(events, fh)
+        if args.model:
+            with open(parts[2], "w") as fh:
+                model.save(fh)
     print(f"processed {n_records} records, "
           f"{len(events)} anomaly events, "
           f"model trained on {model.trained_on} cycles")
@@ -200,8 +214,8 @@ def _cmd_profile(args) -> int:
         records, _ = generate_trace(profile, [], duration_s, args.seed)
         params = run_pipeline(config, records).model
     summary = profile_inference(params, config.z_threshold, args.trials)
-    print(f"score+detect over {summary['n_trials']} trials "
-          f"(model trained on {summary['trained_on']} cycles):")
+    print(f"score+detect over {summary['n_trials']} trials, per-call means of "
+          f"batches of {PROFILE_BATCH} (model trained on {summary['trained_on']} cycles):")
     print(f"  min    {summary['min_s'] * 1e6:9.2f} us")
     print(f"  median {summary['median_s'] * 1e6:9.2f} us")
     print(f"  p99    {summary['p99_s'] * 1e6:9.2f} us")
@@ -217,7 +231,8 @@ def _cmd_replay(args) -> int:
     if args.model:
         with open(args.model) as fh:
             model = ModelParams.load(fh)
-    n_records, events, _ = _stream(config, args.log, args.out, model)
+    with _all_or_nothing([args.out]) as (part,), open(part, "w") as fh:
+        n_records, events, _ = _stream(config, args.log, fh, model)
     print(f"replayed {n_records} records, "
           f"{len(events)} anomaly events, wrote {args.out}")
     return 0
@@ -289,7 +304,7 @@ def main(argv=None) -> int:
     except InsufficientTrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (AmpwatchError, FileNotFoundError) as exc:
+    except (AmpwatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,6 +22,11 @@ class CompressorState(Enum):
     ON = "on"
 
 
+# the per-record path reads these module globals: reading a member
+# through its Enum class costs about ten times as much
+_OFF, _ON = CompressorState.OFF, CompressorState.ON
+
+
 @dataclass(frozen=True)
 class StateThresholds:
     """Hysteresis band: rms > on_enter switches ON, rms < off_enter OFF."""
@@ -69,13 +74,9 @@ def classify_state(
     thresholds: StateThresholds,
 ) -> CompressorState:
     """Hysteresis state update; inside the band the state is held."""
-    if prev == CompressorState.OFF:
-        if rms_amps > thresholds.on_enter_amps:
-            return CompressorState.ON
-        return CompressorState.OFF
-    if rms_amps < thresholds.off_enter_amps:
-        return CompressorState.OFF
-    return CompressorState.ON
+    if prev is _OFF:
+        return _ON if rms_amps > thresholds.on_enter_amps else _OFF
+    return _OFF if rms_amps < thresholds.off_enter_amps else _ON
 
 
 def check_watchdog(
@@ -162,22 +163,20 @@ class CycleTracker:
 
     def ingest(self, record: RmsRecord) -> Optional[CycleFeatures]:
         """Feed one record; returns features when it closes an ON cycle."""
-        if self.last_timestamp_s is not None and record.timestamp_s <= self.last_timestamp_s:
-            raise StreamOrderError(
-                f"timestamp {record.timestamp_s} not after {self.last_timestamp_s}"
-            )
-        self.last_timestamp_s = record.timestamp_s
+        ts = record.timestamp_s
+        if self.last_timestamp_s is not None and ts <= self.last_timestamp_s:
+            raise StreamOrderError(f"timestamp {ts} not after {self.last_timestamp_s}")
+        self.last_timestamp_s = ts
 
-        new_state = classify_state(record.rms_amps, self.state, self.thresholds)
-        prev_state = self.state
-        self.state = new_state
-
-        if prev_state == CompressorState.OFF and new_state == CompressorState.ON:
-            self._cycle_start_s = record.timestamp_s
+        prev = self.state
+        new = classify_state(record.rms_amps, prev, self.thresholds)
+        if new is prev:
+            if new is _ON:
+                self._accumulate(record)
+            return None
+        self.state = new
+        if new is _ON:
+            self._cycle_start_s = ts
             self._accumulate(record)
             return None
-        if prev_state == CompressorState.ON and new_state == CompressorState.OFF:
-            return self._finish_cycle(record)
-        if new_state == CompressorState.ON:
-            self._accumulate(record)
-        return None
+        return self._finish_cycle(record)

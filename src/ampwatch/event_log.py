@@ -26,7 +26,10 @@ class EventKind(str, Enum):
     WATCHDOG = "watchdog"
 
 
-@dataclass(frozen=True)
+_KINDS = {kind.value: kind for kind in EventKind}
+
+
+@dataclass(slots=True)
 class LogRecord:
     timestamp_s: int
     rms_amps: float
@@ -35,11 +38,11 @@ class LogRecord:
     event_kind: EventKind
 
     def __post_init__(self):
-        if self.rms_amps < 0 or not math.isfinite(self.rms_amps):
+        if not 0 <= self.rms_amps < math.inf:
             raise InvalidInputError("rms_amps must be finite and non-negative")
         if self.anomaly_flag not in (0, 1):
             raise InvalidInputError("anomaly_flag must be 0 or 1")
-        if (self.anomaly_flag == 1) != (self.event_kind != EventKind.NONE):
+        if (self.anomaly_flag == 1) != (self.event_kind != "none"):
             raise InvalidInputError("anomaly_flag must be 1 iff event_kind != none")
 
 
@@ -65,10 +68,12 @@ class AnomalyEvent:
 
 def serialize_record(record: LogRecord) -> str:
     """One CSV line, deterministic formatting, no trailing newline."""
-    z = "" if record.composite_z is None else f"{record.composite_z:.4f}"
+    z = record.composite_z
+    # _value_ is the member's plain attribute; .value is a slower property
     return (
-        f"{record.timestamp_s},{record.rms_amps:.4f},{z},"
-        f"{record.anomaly_flag},{record.event_kind.value}"
+        f"{record.timestamp_s},{record.rms_amps:.4f},"
+        f"{'' if z is None else f'{z:.4f}'},"
+        f"{record.anomaly_flag},{record.event_kind._value_}"
     )
 
 
@@ -88,8 +93,8 @@ def parse_record(line: str, line_number: Optional[int] = None) -> LogRecord:
         rms = float(rms_s)
     except ValueError:
         raise LogParseError(f"bad rms {rms_s!r}", line_number, 2) from None
-    if rms < 0:
-        raise LogParseError("rms must be non-negative", line_number, 2)
+    if not 0 <= rms < math.inf:
+        raise LogParseError("rms must be finite and non-negative", line_number, 2)
     if z_s == "":
         z = None
     else:
@@ -97,16 +102,17 @@ def parse_record(line: str, line_number: Optional[int] = None) -> LogRecord:
             z = float(z_s)
         except ValueError:
             raise LogParseError(f"bad zscore {z_s!r}", line_number, 3) from None
+        if not -math.inf < z < math.inf:
+            raise LogParseError(f"zscore must be finite, got {z_s!r}", line_number, 3)
     if flag_s not in ("0", "1"):
         raise LogParseError(f"bad flag {flag_s!r}", line_number, 4)
-    flag = int(flag_s)
-    try:
-        kind = EventKind(kind_s)
-    except ValueError:
-        raise LogParseError(f"bad kind {kind_s!r}", line_number, 5) from None
-    if (flag == 1) != (kind != EventKind.NONE):
+    flag = 1 if flag_s == "1" else 0
+    kind = _KINDS.get(kind_s)
+    if kind is None:
+        raise LogParseError(f"bad kind {kind_s!r}", line_number, 5)
+    if (flag == 1) != (kind_s != "none"):
         raise LogParseError(
-            f"flag {flag} inconsistent with kind {kind.value!r}", line_number, 4
+            f"flag {flag} inconsistent with kind {kind_s!r}", line_number, 4
         )
     return LogRecord(ts, rms, z, flag, kind)
 

@@ -49,7 +49,7 @@ class SampleBlock:
                 raise InvalidInputError("sample block contains non-finite value")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RmsRecord:
     """Timestamped RMS value; the pipeline's unit of streaming data."""
 
@@ -57,7 +57,8 @@ class RmsRecord:
     rms_amps: float
 
     def __post_init__(self):
-        if not math.isfinite(self.rms_amps) or self.rms_amps < 0:
+        # one chained compare: rejects negatives, inf and NaN
+        if not 0 <= self.rms_amps < math.inf:
             raise InvalidInputError("rms_amps must be finite and non-negative")
 
 

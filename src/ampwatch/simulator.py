@@ -70,8 +70,8 @@ class ApplianceProfile:
             raise InvalidInputError("jitter fractions must be in [0, 1)")
         if self.rms_noise_amps < 0:
             raise InvalidInputError("rms_noise_amps must be non-negative")
-        if self.record_interval_s <= 0:
-            raise InvalidInputError("record_interval_s must be positive")
+        if not isinstance(self.record_interval_s, int) or self.record_interval_s <= 0:
+            raise InvalidInputError("record_interval_s must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -167,18 +167,16 @@ def generate_trace(
     segments, raw_labels = _plan_segments(profile, ordered, duration_s, rng)
 
     iv = profile.record_interval_s
-    n_records = int(duration_s // iv)
+    # segments tile [0, >= duration_s) on the iv lattice, so each
+    # segment's records are exactly its own range
+    end = int(duration_s // iv) * iv
+    noise = profile.rms_noise_amps
+    gauss = rng.gauss
     records: List[RmsRecord] = []
-    seg_i = 0
-    for k in range(n_records):
-        t = k * iv
-        while seg_i + 1 < len(segments) and t >= segments[seg_i][1] + segments[seg_i][2]:
-            seg_i += 1
-        _, _, _, level = segments[seg_i]
-        rms = level
-        if profile.rms_noise_amps > 0:
-            rms += rng.gauss(0.0, profile.rms_noise_amps)
-        records.append(RmsRecord(start_timestamp_s + t, max(rms, 0.0)))
+    for _, seg_start, seg_len, level in segments:
+        for t in range(seg_start, min(seg_start + seg_len, end), iv):
+            rms = level + gauss(0.0, noise) if noise > 0 else level
+            records.append(RmsRecord(start_timestamp_s + t, 0.0 if rms < 0.0 else rms))
 
     labels = [
         GroundTruthLabel(start_timestamp_s + ws, start_timestamp_s + we, kind)

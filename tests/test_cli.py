@@ -207,6 +207,28 @@ class TestExitCodes:
                      "--events", str(tmp_path / "e")])
         assert r.returncode == 2
 
+    def test_non_finite_rms_is_2_with_line(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(event_log.LOG_HEADER + "\n1,0.0700,,0,none\n2,nan,,0,none\n")
+        r = run_cli(["run", "--trace", str(trace), "--log", str(tmp_path / "l"),
+                     "--events", str(tmp_path / "e")])
+        assert r.returncode == 2
+        assert "line 3" in r.stderr
+
+    def test_output_directory_is_2_and_writes_nothing(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        assert main(["simulate", "--duration-days", "2", "--seed", "1",
+                     "--out", str(trace), "--labels", str(tmp_path / "labels.csv")]) == 0
+        events_dir = tmp_path / "events"
+        events_dir.mkdir()
+        log, model = tmp_path / "log.csv", tmp_path / "model.txt"
+        r = run_cli(["run", "--trace", str(trace), "--log", str(log), "--events",
+                     str(events_dir), "--model", str(model), "--training-cycles", "5"])
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert not log.exists() and not model.exists()
+        assert list(tmp_path.glob("*.part")) == []
+
     def test_missing_file_is_2(self, tmp_path):
         r = run_cli(["run", "--trace", str(tmp_path / "nope.csv"),
                      "--log", str(tmp_path / "l"), "--events", str(tmp_path / "e")])

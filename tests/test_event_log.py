@@ -51,6 +51,20 @@ def test_parse_negative_rms():
         parse_record("1700000000,-0.1000,,0,none")
 
 
+@pytest.mark.parametrize("line, column", [
+    ("1700000000,nan,,0,none", 2),
+    ("1700000000,inf,,0,none", 2),
+    ("1700000000,-inf,,0,none", 2),
+    ("1700000000,0.8700,nan,0,none", 3),
+    ("1700000000,0.8700,inf,0,none", 3),
+    ("1700000000,0.8700,-inf,1,zscore", 3),
+])
+def test_parse_rejects_non_finite_values_with_position(line, column):
+    with pytest.raises(LogParseError) as exc:
+        parse_record(line, line_number=9)
+    assert (exc.value.line_number, exc.value.column) == (9, column)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(LogParseError) as exc:
         parse_record("1700000000,xx,,0,none", line_number=17)
@@ -64,6 +78,10 @@ def test_record_invariant_enforced_at_construction():
         LogRecord(0, 0.1, None, 1, EventKind.NONE)
     with pytest.raises(InvalidInputError):
         LogRecord(0, 0.1, None, 0, EventKind.WATCHDOG)
+    for bad_rms in (-0.1, float("inf"), float("nan")):
+        with pytest.raises(InvalidInputError):
+            LogRecord(0, bad_rms, None, 0, EventKind.NONE)
+    assert LogRecord(0, -0.0, None, 0, EventKind.NONE).rms_amps == 0.0
 
 
 quant = st.integers(0, 10_000_000).map(lambda n: n / 10_000)

@@ -1,17 +1,29 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ampwatch.cycle_tracker import CompressorState, CycleTracker, check_watchdog, classify_state
 from ampwatch.errors import InsufficientTrainingError, InvalidInputError
-from ampwatch.event_log import EventKind
-from ampwatch.pipeline import PipelineConfig, profile_inference, run_pipeline
+from ampwatch.event_log import AnomalyEvent, EventKind, LogRecord
+from ampwatch.pipeline import Monitor, PipelineConfig, profile_inference, run_pipeline
 from ampwatch.simulator import (
     AnomalyScenario,
     ApplianceProfile,
     ScenarioKind,
     generate_trace,
 )
-from ampwatch.zscore_model import ModelParams
+from ampwatch.signal_core import RmsRecord
+from ampwatch.zscore_model import (
+    DetectorState,
+    FeatureStats,
+    ModelParams,
+    detect,
+    finalize,
+    score,
+    train_update,
+)
 
 DAY = 86_400.0
 
@@ -131,3 +143,122 @@ def test_profile_reports_state_size_and_budget():
     assert summary["stat_values"] == 10
     assert summary["counters"] == 1
     assert summary["median_s"] < 1e-3
+
+
+def test_profile_times_every_trial_in_batches():
+    records, _ = make_trace(days=2, seed=31)
+    model = run_pipeline(PipelineConfig(training_cycles=10), records).model
+    for n in (1, 99, 250):
+        summary = profile_inference(model, n_trials=n)
+        assert summary["n_trials"] == n
+        assert 0 < summary["min_s"] <= summary["median_s"] <= summary["p99_s"]
+
+
+class ReferenceMonitor:
+    """Monitor.step as a plain reading of the spec: the tracker's branches
+    spelled out with classify_state, check_watchdog on every OFF record,
+    and a keyword-built LogRecord."""
+
+    def __init__(self, config, model=None):
+        self.config = config
+        self.tracker = CycleTracker(config.thresholds())
+        self.stats = FeatureStats()
+        self.model = model
+        self.detector = DetectorState(threshold=config.z_threshold)
+        self.off_since = None
+        self.wd_fired = False
+        self.last_composite = None
+
+    def ingest(self, record):
+        tracker = self.tracker
+        prev = tracker.state
+        new = classify_state(record.rms_amps, prev, tracker.thresholds)
+        tracker.state = new
+        if prev == CompressorState.OFF and new == CompressorState.ON:
+            tracker._cycle_start_s = record.timestamp_s
+            tracker._accumulate(record)
+        elif prev == CompressorState.ON and new == CompressorState.OFF:
+            return tracker._finish_cycle(record)
+        elif new == CompressorState.ON:
+            tracker._accumulate(record)
+        return None
+
+    def step(self, record):
+        features = self.ingest(record)
+        event = None
+        if features is not None:
+            if self.model is None:
+                train_update(self.stats, features)
+                if self.stats.count >= self.config.training_cycles:
+                    self.model = finalize(self.stats, self.config.sigma_min)
+            else:
+                res = score(self.model, features)
+                self.last_composite = res.composite
+                if detect(self.detector, res.composite):
+                    event = AnomalyEvent(
+                        kind=EventKind.ZSCORE,
+                        detected_at_s=record.timestamp_s,
+                        composite=res.composite,
+                        streak=self.detector.streak,
+                        cycle_start_s=self.tracker.last_cycle_start_s,
+                        cycle_end_s=self.tracker.last_cycle_end_s,
+                    )
+        if self.tracker.state == CompressorState.OFF:
+            if self.off_since is None:
+                self.off_since = record.timestamp_s
+                self.wd_fired = False
+            wd_event = check_watchdog(record.timestamp_s, self.off_since,
+                                      self.config.watchdog(), self.wd_fired,
+                                      self.detector.streak)
+            if wd_event is not None:
+                self.wd_fired = True
+                event = wd_event
+        else:
+            self.off_since = None
+            self.wd_fired = False
+        log_record = LogRecord(
+            timestamp_s=record.timestamp_s,
+            rms_amps=record.rms_amps,
+            composite_z=self.last_composite,
+            anomaly_flag=0 if event is None else 1,
+            event_kind=EventKind.NONE if event is None else event.kind,
+        )
+        return log_record, event
+
+
+# values on, next to and between the hysteresis thresholds (0.20, 0.45)
+band_rms = st.sampled_from([0.0, 0.07, 0.1999, 0.2, 0.2001, 0.3, 0.4499, 0.45, 0.4501, 0.87])
+
+
+@st.composite
+def record_streams(draw):
+    """Runs of records at one level; steps shorter than, equal to and
+    longer than the 600 s watchdog limit used below."""
+    records, ts = [], 1_700_000_000
+    for _ in range(draw(st.integers(1, 25))):
+        level = draw(band_rms | st.floats(0, 1.5))
+        steps = draw(st.lists(st.sampled_from([300, 599, 600, 601]) | st.integers(1, 400),
+                              min_size=1, max_size=10))
+        for dt in steps:
+            ts += dt
+            records.append(RmsRecord(ts, level))
+    return records
+
+
+@given(
+    records=record_streams(),
+    training_cycles=st.integers(2, 4),
+    threshold=st.sampled_from([0.5, 1.0, 2.5]),
+    pretrained=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_monitor_step_matches_reference(records, training_cycles, threshold, pretrained):
+    config = PipelineConfig(training_cycles=training_cycles, z_threshold=threshold,
+                            watchdog_off_limit_s=600)
+    model = None
+    if pretrained:
+        model = ModelParams(mean=(0.87, 0.87, 0.005, 0.0, 900.0),
+                            std=(0.05, 0.05, 0.005, 1e-4, 600.0), trained_on=50)
+    monitor, reference = Monitor(config, model), ReferenceMonitor(config, model)
+    for record in records:
+        assert monitor.step(record) == reference.step(record)

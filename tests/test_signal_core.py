@@ -111,7 +111,8 @@ class TestAdcToAmps:
 
 
 def test_rms_record_validation():
-    with pytest.raises(InvalidInputError):
-        RmsRecord(0, -0.1)
-    with pytest.raises(InvalidInputError):
-        RmsRecord(0, float("inf"))
+    for bad in (-0.1, -5e-324, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(InvalidInputError):
+            RmsRecord(0, bad)
+    for good in (0.0, -0.0, 5e-324, 1e308):
+        assert RmsRecord(0, good).rms_amps == good

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ampwatch.errors import InvalidInputError, InvalidScenarioError
 from ampwatch.pipeline import PipelineConfig, run_pipeline
@@ -47,11 +49,24 @@ def test_different_seeds_differ():
     assert a != b
 
 
-def test_timestamp_lattice():
-    profile = ApplianceProfile()
-    records, _ = generate_trace(profile, [], DAY, seed=3)
-    ts = [r.timestamp_s for r in records]
-    assert all(b - a == 30 for a, b in zip(ts, ts[1:]))
+@given(
+    duration_s=st.floats(0, 20_000) | st.integers(0, 20_000),
+    interval_s=st.integers(1, 900),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_timestamp_lattice(duration_s, interval_s, seed):
+    profile = ApplianceProfile(record_interval_s=interval_s)
+    start = 1_700_000_000
+    records, _ = generate_trace(profile, [], duration_s, seed, start_timestamp_s=start)
+    n = int(duration_s // interval_s)
+    assert [r.timestamp_s for r in records] == [start + k * interval_s for k in range(n)]
+
+
+@pytest.mark.parametrize("interval", [0, -30, 30.0, 7.5])
+def test_record_interval_must_be_a_positive_integer(interval):
+    with pytest.raises(InvalidInputError):
+        ApplianceProfile(record_interval_s=interval)
 
 
 def test_power_disruption_label_and_levels():
