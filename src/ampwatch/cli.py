@@ -59,8 +59,9 @@ def _parse_scenario(text: str) -> AnomalyScenario:
 
 
 def _load_config(args) -> PipelineConfig:
+    names = [f.name for f in dataclass_fields(PipelineConfig)]
     values = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
@@ -68,24 +69,17 @@ def _load_config(args) -> PipelineConfig:
             raise UsageError(f"cannot read config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"bad config file: {exc}") from None
-        known = {f.name for f in dataclass_fields(PipelineConfig)}
-        unknown = set(loaded) - known
+        if not isinstance(loaded, dict):
+            raise UsageError("config file must hold a JSON object")
+        unknown = set(loaded) - set(names)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
-    # flag overrides
-    for flag, key in (
-        ("training_cycles", "training_cycles"),
-        ("threshold", "z_threshold"),
-        ("watchdog_limit", "watchdog_off_limit_s"),
-        ("on_enter", "on_enter_amps"),
-        ("off_enter", "off_enter_amps"),
-        ("sigma_min", "sigma_min"),
-        ("grace", "match_grace_s"),
-    ):
-        v = getattr(args, flag, None)
+    # each config flag's dest is the PipelineConfig field it overrides
+    for name in names:
+        v = getattr(args, name, None)
         if v is not None:
-            values[key] = v
+            values[name] = v
     try:
         return PipelineConfig(**values)
     except (TypeError, InvalidInputError) as exc:
@@ -112,38 +106,15 @@ def _all_or_nothing(paths):
                 os.remove(part)
 
 
-def _stream(config: PipelineConfig, in_path: str, out, model=None):
-    """Stream log CSV in_path through a Monitor into the open file out.
-
-    Returns (records, events, model); raises InsufficientTrainingError
-    when the stream ends before a model exists.
-    """
-    monitor = Monitor(config, model)
-    n_records = 0
-    events = []
-
-    def logged(src):
-        nonlocal n_records
-        for record in event_log.iter_log(src, strict=True):
-            log_record, event = monitor.step(record)
-            n_records += 1
-            if event is not None:
-                events.append(event)
-            yield log_record
-
-    with open(in_path) as src:
-        event_log.write_log(logged(src), out)
-    return n_records, events, monitor.finish()
-
-
 def _add_config_flags(p):
     p.add_argument("--config", help="JSON file with PipelineConfig fields")
     p.add_argument("--training-cycles", dest="training_cycles", type=int)
-    p.add_argument("--threshold", type=float, help="composite z-score cutoff")
-    p.add_argument("--watchdog-limit", dest="watchdog_limit", type=float,
+    p.add_argument("--threshold", dest="z_threshold", type=float,
+                   help="composite z-score cutoff")
+    p.add_argument("--watchdog-limit", dest="watchdog_off_limit_s", type=float,
                    help="max continuous OFF seconds before the watchdog fires")
-    p.add_argument("--on-enter", dest="on_enter", type=float)
-    p.add_argument("--off-enter", dest="off_enter", type=float)
+    p.add_argument("--on-enter", dest="on_enter_amps", type=float)
+    p.add_argument("--off-enter", dest="off_enter_amps", type=float)
     p.add_argument("--sigma-min", dest="sigma_min", type=float)
 
 
@@ -161,21 +132,24 @@ def _cmd_simulate(args) -> int:
     )
     none = event_log.EventKind.NONE
     log = (event_log.LogRecord(r.timestamp_s, r.rms_amps, None, 0, none) for r in records)
-    with open(args.out, "w") as fh:
-        event_log.write_log(log, fh)
-    with open(args.labels, "w") as fh:
-        write_labels(labels, fh)
+    with _all_or_nothing([args.out, args.labels]) as (out_part, labels_part):
+        with open(out_part, "w") as fh:
+            event_log.write_log(log, fh)
+        with open(labels_part, "w") as fh:
+            write_labels(labels, fh)
     print(f"wrote {len(records)} records to {args.out}, "
           f"{len(labels)} labels to {args.labels}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args)
+    monitor = Monitor(_load_config(args))
+    events = []
     targets = [args.log, args.events] + ([args.model] if args.model else [])
     with _all_or_nothing(targets) as parts:
-        with open(parts[0], "w") as fh:
-            n_records, events, model = _stream(config, args.trace, fh)
+        with open(args.trace) as src, open(parts[0], "w") as fh:
+            n_records = event_log.write_log(monitor.run(event_log.iter_log(src), events), fh)
+        model = monitor.finish()
         with open(parts[1], "w") as fh:
             event_log.write_events(events, fh)
         if args.model:
@@ -231,8 +205,12 @@ def _cmd_replay(args) -> int:
     if args.model:
         with open(args.model) as fh:
             model = ModelParams.load(fh)
-    with _all_or_nothing([args.out]) as (part,), open(part, "w") as fh:
-        n_records, events, _ = _stream(config, args.log, fh, model)
+    monitor = Monitor(config, model)
+    events = []
+    with _all_or_nothing([args.out]) as (part,):
+        with open(args.log) as src, open(part, "w") as fh:
+            n_records = event_log.write_log(monitor.run(event_log.iter_log(src), events), fh)
+        monitor.finish()
     print(f"replayed {n_records} records, "
           f"{len(events)} anomaly events, wrote {args.out}")
     return 0
@@ -271,7 +249,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score events against ground-truth labels")
     p.add_argument("--events", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--grace", type=float, help="match grace seconds")
+    p.add_argument("--grace", dest="match_grace_s", type=float,
+                   help="match grace seconds")
     p.add_argument("--report", help="write machine-readable key=value report")
     p.add_argument("--config", help="JSON file with PipelineConfig fields")
     p.set_defaults(func=_cmd_eval)

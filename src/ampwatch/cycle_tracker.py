@@ -64,8 +64,8 @@ class WatchdogConfig:
     off_limit_s: float = 3600.0
 
     def __post_init__(self):
-        if self.off_limit_s <= 0:
-            raise InvalidInputError("off_limit_s must be positive")
+        if not 0 < self.off_limit_s < math.inf:
+            raise InvalidInputError("off_limit_s must be finite and positive")
 
 
 def classify_state(

@@ -12,7 +12,7 @@ flag is 0/1 and must be 1 exactly when kind is not "none".
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, List, Optional, TextIO
+from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
 
 from .errors import InvalidInputError, LogParseError
 
@@ -117,16 +117,19 @@ def parse_record(line: str, line_number: Optional[int] = None) -> LogRecord:
     return LogRecord(ts, rms, z, flag, kind)
 
 
-def write_log(records: Iterable[LogRecord], fh: TextIO) -> None:
+def write_log(records: Iterable[LogRecord], fh: TextIO) -> int:
+    """Write the header and one line per record; returns the record count."""
     fh.write(LOG_HEADER + "\n")
-    for rec in records:
+    n = 0
+    for n, rec in enumerate(records, start=1):
         fh.write(serialize_record(rec) + "\n")
+    return n
 
 
-def iter_log(fh: TextIO, strict: bool = True) -> Iterator[LogRecord]:
+def iter_log(fh: TextIO) -> Iterator[LogRecord]:
     """Parse a log file line by line; tolerates a present or absent header.
 
-    In strict mode, non-increasing timestamps are rejected.
+    Non-increasing timestamps are rejected.
     """
     last_ts = None
     for i, line in enumerate(fh, start=1):
@@ -136,7 +139,7 @@ def iter_log(fh: TextIO, strict: bool = True) -> Iterator[LogRecord]:
         if i == 1 and line == LOG_HEADER:
             continue
         rec = parse_record(line, line_number=i)
-        if strict and last_ts is not None and rec.timestamp_s <= last_ts:
+        if last_ts is not None and rec.timestamp_s <= last_ts:
             raise LogParseError(
                 f"timestamp {rec.timestamp_s} not after {last_ts}", i, 1
             )
@@ -144,9 +147,25 @@ def iter_log(fh: TextIO, strict: bool = True) -> Iterator[LogRecord]:
         yield rec
 
 
-def read_log(fh: TextIO, strict: bool = True) -> List[LogRecord]:
+def read_log(fh: TextIO) -> List[LogRecord]:
     """The whole of iter_log as a list."""
-    return list(iter_log(fh, strict))
+    return list(iter_log(fh))
+
+
+def iter_rows(fh: TextIO, header: str) -> Iterator[Tuple[int, List[str]]]:
+    """Yield ``(line_number, fields)`` for each non-blank line of a CSV
+    file whose columns are those of ``header``; a header on line 1 is
+    skipped, and a wrong column count raises LogParseError.
+    """
+    n_columns = header.count(",") + 1
+    for i, line in enumerate(fh, start=1):
+        line = line.rstrip("\n")
+        if not line or (i == 1 and line == header):
+            continue
+        fields = line.split(",")
+        if len(fields) != n_columns:
+            raise LogParseError(f"expected {n_columns} columns, got {len(fields)}", i)
+        yield i, fields
 
 
 def write_events(events: Iterable[AnomalyEvent], fh: TextIO) -> None:
@@ -161,15 +180,7 @@ def write_events(events: Iterable[AnomalyEvent], fh: TextIO) -> None:
 
 def read_events(fh: TextIO) -> List[AnomalyEvent]:
     events: List[AnomalyEvent] = []
-    for i, line in enumerate(fh, start=1):
-        line = line.rstrip("\n")
-        if not line or (i == 1 and line == EVENTS_HEADER):
-            continue
-        fields = line.split(",")
-        if len(fields) != 6:
-            raise LogParseError(
-                f"expected 6 columns, got {len(fields)}", i
-            )
+    for i, fields in iter_rows(fh, EVENTS_HEADER):
         try:
             kind = EventKind(fields[1])
             comp = None if fields[2] == "" else float(fields[2])

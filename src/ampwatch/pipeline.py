@@ -8,10 +8,11 @@ training is still a fault) and its events are reported separately from
 z-score detections.
 """
 
+import math
 import statistics
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .cycle_tracker import (
     CompressorState,
@@ -22,6 +23,7 @@ from .cycle_tracker import (
     check_watchdog,
 )
 from .errors import InsufficientTrainingError, InvalidInputError
+from .evaluation import DEFAULT_MATCH_GRACE_S
 from .event_log import AnomalyEvent, EventKind, LogRecord
 from .signal_core import RmsRecord
 from .zscore_model import (
@@ -45,27 +47,21 @@ _OFF, _NO_EVENT = CompressorState.OFF, EventKind.NONE
 
 @dataclass
 class PipelineConfig:
-    on_enter_amps: float = 0.45
-    off_enter_amps: float = 0.20
+    on_enter_amps: float = StateThresholds.on_enter_amps
+    off_enter_amps: float = StateThresholds.off_enter_amps
     training_cycles: int = 50
     z_threshold: float = DEFAULT_THRESHOLD
-    watchdog_off_limit_s: float = 3600.0
+    watchdog_off_limit_s: float = WatchdogConfig.off_limit_s
     sigma_min: float = DEFAULT_SIGMA_MIN
-    match_grace_s: float = 7200.0
+    match_grace_s: float = DEFAULT_MATCH_GRACE_S
 
     def __post_init__(self):
-        if self.training_cycles < 2:
-            raise InvalidInputError("training_cycles must be at least 2")
-        for name in (
-            "on_enter_amps",
-            "off_enter_amps",
-            "z_threshold",
-            "watchdog_off_limit_s",
-            "sigma_min",
-            "match_grace_s",
-        ):
-            if getattr(self, name) <= 0:
-                raise InvalidInputError(f"{name} must be positive")
+        if type(self.training_cycles) is not int or self.training_cycles < 2:
+            raise InvalidInputError("training_cycles must be an integer of at least 2")
+        for f in fields(self):
+            if f.type is float and not 0 < getattr(self, f.name) < math.inf:
+                raise InvalidInputError(f"{f.name} must be finite and positive")
+        self.thresholds()
 
     def thresholds(self) -> StateThresholds:
         return StateThresholds(self.on_enter_amps, self.off_enter_amps)
@@ -145,6 +141,18 @@ class Monitor:
             return LogRecord(ts, record.rms_amps, z_col, 0, _NO_EVENT), None
         return LogRecord(ts, record.rms_amps, z_col, 1, event.kind), event
 
+    def run(self, records: Iterable[RmsRecord],
+            events: List[AnomalyEvent]) -> Iterator[LogRecord]:
+        """Step through ``records``, yielding each log record and appending
+        each event to ``events``; call ``finish`` once the stream ends.
+        """
+        step = self.step
+        for record in records:
+            log_record, event = step(record)
+            if event is not None:
+                events.append(event)
+            yield log_record
+
     def finish(self) -> ModelParams:
         """End of stream: the model, or InsufficientTrainingError."""
         if self.model is None:
@@ -162,14 +170,9 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run a Monitor over the stream; collect its log, events and model."""
     monitor = Monitor(config, model)
-    result = PipelineResult()
-    for record in records:
-        log_record, event = monitor.step(record)
-        result.log_records.append(log_record)
-        if event is not None:
-            result.events.append(event)
-    result.model = monitor.finish()
-    return result
+    events: List[AnomalyEvent] = []
+    log_records = list(monitor.run(records, events))
+    return PipelineResult(log_records, events, monitor.finish())
 
 
 def profile_inference(params: ModelParams, threshold: float = DEFAULT_THRESHOLD,

@@ -24,6 +24,7 @@ from enum import Enum
 from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .errors import InvalidInputError, InvalidScenarioError, LogParseError
+from .event_log import iter_rows
 from .rng import DeterministicRng
 from .signal_core import RmsRecord, SampleBlock
 
@@ -220,13 +221,7 @@ def write_labels(labels: Iterable[GroundTruthLabel], fh: TextIO) -> None:
 
 def read_labels(fh: TextIO) -> List[GroundTruthLabel]:
     labels: List[GroundTruthLabel] = []
-    for i, line in enumerate(fh, start=1):
-        line = line.rstrip("\n")
-        if not line or (i == 1 and line == LABELS_HEADER):
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise LogParseError(f"expected 3 columns, got {len(fields)}", i)
+    for i, fields in iter_rows(fh, LABELS_HEADER):
         try:
             labels.append(
                 GroundTruthLabel(int(fields[0]), int(fields[1]), ScenarioKind(fields[2]))

@@ -141,8 +141,8 @@ class DetectorState:
     streak: int = 0
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise InvalidInputError("threshold must be positive")
+        if not 0 < self.threshold < math.inf:
+            raise InvalidInputError("threshold must be finite and positive")
 
 
 def detect(state: DetectorState, composite: float) -> bool:

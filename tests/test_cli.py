@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import io
 import json
 import subprocess
@@ -6,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from ampwatch import event_log
+from ampwatch import cli, event_log
 from ampwatch.cli import main
 from ampwatch.pipeline import PipelineConfig, run_pipeline
 from ampwatch.zscore_model import FEATURE_NAMES
@@ -155,6 +157,37 @@ def test_failed_run_leaves_no_output(tmp_path, corrupt, flags, code):
     assert list(tmp_path.glob("*.part")) == []
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--training-cycles", "5", "--threshold", "nan"], None),
+    (["--training-cycles", "5", "--watchdog-limit", "nan"], None),
+    (["--training-cycles", "5", "--on-enter", "0.1", "--off-enter", "0.3"], None),
+    ([], '{"training_cycles": 2.5}'),
+    ([], '{"on_enter_amps": Infinity}'),
+    ([], '3'),
+])
+def test_bad_config_is_1_and_writes_nothing(tmp_path, flags, config):
+    trace = tmp_path / "trace.csv"
+    assert main(["simulate", "--duration-days", "1", "--seed", "1",
+                 "--out", str(trace), "--labels", str(tmp_path / "labels.csv")]) == 0
+    if config is not None:
+        (tmp_path / "config.json").write_text(config)
+        flags = ["--config", str(tmp_path / "config.json")]
+    outputs = [tmp_path / "log.csv", tmp_path / "events.csv", tmp_path / "model.txt"]
+    assert main(["run", "--trace", str(trace), "--log", str(outputs[0]),
+                 "--events", str(outputs[1]), "--model", str(outputs[2]), *flags]) == 1
+    assert not any(path.exists() for path in outputs)
+    assert list(tmp_path.glob("*.part")) == []
+
+
+def test_failed_simulate_leaves_no_output(tmp_path):
+    trace, labels = tmp_path / "t.csv", tmp_path / "labels"
+    labels.mkdir()
+    assert main(["simulate", "--duration-s", "3600",
+                 "--out", str(trace), "--labels", str(labels)]) == 2
+    assert not trace.exists()
+    assert list(tmp_path.glob("*.part")) == []
+
+
 def test_run_memory_does_not_grow_with_trace_length(tmp_path):
     def run_peak(days):
         trace = tmp_path / f"trace{days}.csv"
@@ -186,6 +219,47 @@ def test_config_file_and_flag_override(workspace, tmp_path):
     ]) == 0
     model_text = workspace["model"].read_text()
     assert "trained_on=30" in model_text  # flag beats config file
+
+
+CONFIG_FLAGS = [
+    (["--training-cycles", "7"], "training_cycles", 7),
+    (["--threshold", "3.5"], "z_threshold", 3.5),
+    (["--watchdog-limit", "1800"], "watchdog_off_limit_s", 1800.0),
+    (["--on-enter", "0.6"], "on_enter_amps", 0.6),
+    (["--off-enter", "0.1"], "off_enter_amps", 0.1),
+    (["--sigma-min", "0.01"], "sigma_min", 0.01),
+]
+COMMAND_ARGS = {
+    "run": ["--trace", "t.csv", "--log", "l.csv", "--events", "e.csv"],
+    "replay": ["--log", "l.csv", "--out", "o.csv"],
+    "profile": [],
+}
+# the dests of each subcommand's own inputs and outputs; every other
+# dest must name a PipelineConfig field, which is how _load_config finds it
+NON_CONFIG_DESTS = {"help", "config", "trace", "log", "events", "model", "out",
+                    "labels", "report", "trials", "seed"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+@pytest.mark.parametrize("flag, field, value", CONFIG_FLAGS)
+def test_config_flag_sets_its_field(command, flag, field, value):
+    args = cli.build_parser().parse_args([command, *COMMAND_ARGS[command], *flag])
+    assert getattr(cli._load_config(args), field) == value
+
+
+def test_eval_grace_flag_sets_its_field():
+    args = cli.build_parser().parse_args(
+        ["eval", "--events", "e.csv", "--labels", "l.csv", "--grace", "60"])
+    assert cli._load_config(args).match_grace_s == 60.0
+
+
+def test_config_flag_dests_are_pipeline_config_fields():
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    [subparsers] = [a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    for command in ("run", "replay", "profile", "eval"):
+        dests = {a.dest for a in subparsers.choices[command]._actions}
+        assert dests - NON_CONFIG_DESTS <= fields, command
 
 
 def test_profile_command(workspace, capsys):

@@ -146,5 +146,6 @@ class TestWatchdog:
         assert check_watchdog(10_000 + 7200, 10_000, self.config, True) is None
 
     def test_config_validation(self):
-        with pytest.raises(InvalidInputError):
-            WatchdogConfig(off_limit_s=0)
+        for limit in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError):
+                WatchdogConfig(off_limit_s=limit)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ampwatch.errors import InvalidInputError, LogParseError
 from ampwatch.event_log import (
+    EVENTS_HEADER,
     AnomalyEvent,
     EventKind,
     LOG_HEADER,
@@ -17,6 +18,7 @@ from ampwatch.event_log import (
     write_events,
     write_log,
 )
+from ampwatch.simulator import LABELS_HEADER, read_labels
 
 
 def test_basic_line():
@@ -126,8 +128,7 @@ def test_file_round_trip_with_header():
 def test_strict_mode_rejects_out_of_order():
     text = "100,0.0700,,0,none\n90,0.0700,,0,none\n"
     with pytest.raises(LogParseError):
-        read_log(io.StringIO(text), strict=True)
-    assert len(read_log(io.StringIO(text), strict=False)) == 2
+        read_log(io.StringIO(text))
 
 
 def test_events_file_round_trip():
@@ -145,3 +146,45 @@ def test_event_invariants():
         AnomalyEvent(EventKind.WATCHDOG, 1000, 2.0, 0, 500, 1000)
     with pytest.raises(InvalidInputError):
         AnomalyEvent(EventKind.ZSCORE, 400, 2.0, 0, 500, 1000)
+
+
+EVENTS_FILE = EVENTS_HEADER + "\n1000,zscore,3.1234,1,500,1000\n"
+LABELS_FILE = LABELS_HEADER + "\n345600,363600,thermostat_long_on\n"
+
+
+@pytest.mark.parametrize("read, text, line_number", [
+    (read_events, EVENTS_FILE + "9000,watchdog,,0,5000\n", 3),
+    (read_events, EVENTS_FILE + "9000,watchdog,,0,5000,9000,1\n", 3),
+    (read_events, EVENTS_FILE + "9000,meltdown,,0,5000,9000\n", 3),
+    (read_events, EVENTS_FILE + "9000.5,watchdog,,0,5000,9000\n", 3),
+    (read_events, EVENTS_FILE + "9000,watchdog,,0,50x0,9000\n", 3),
+    (read_events, EVENTS_FILE + "9000,watchdog,2.0000,0,5000,9000\n", 3),
+    (read_events, EVENTS_FILE + "\n\n9000,none,,0,5000,9000\n", 5),
+    (read_events, EVENTS_FILE + EVENTS_HEADER + "\n", 3),
+    (read_labels, LABELS_FILE + "604800,605700\n", 3),
+    (read_labels, LABELS_FILE + "604800,605700,door_open,1\n", 3),
+    (read_labels, LABELS_FILE + "604800,605700,meltdown\n", 3),
+    (read_labels, LABELS_FILE + "604800.5,605700,door_open\n", 3),
+    (read_labels, LABELS_FILE + "605700,604800,door_open\n", 3),
+    (read_labels, LABELS_FILE + "604800,604800,door_open\n", 3),
+    (read_labels, "\n" + LABELS_FILE.split("\n", 1)[1] + "\nx,1,door_open\n", 4),
+    (read_labels, LABELS_FILE + LABELS_HEADER + "\n", 3),
+])
+def test_row_readers_reject_bad_lines_with_line_number(read, text, line_number):
+    with pytest.raises(LogParseError) as info:
+        read(io.StringIO(text))
+    assert info.value.line_number == line_number
+
+
+@pytest.mark.parametrize("read, text", [
+    (read_events, EVENTS_FILE),
+    (read_labels, LABELS_FILE),
+])
+def test_row_readers_skip_blank_lines_and_take_header_less_files(read, text):
+    header, rows = text.split("\n", 1)
+    expected = read(io.StringIO(text))
+    assert len(expected) == 1
+    assert read(io.StringIO(rows)) == expected
+    assert read(io.StringIO("\n" + rows + "\n\n" + rows)) == expected * 2
+    assert read(io.StringIO("")) == []
+    assert read(io.StringIO(header + "\n")) == []

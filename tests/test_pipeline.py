@@ -134,6 +134,11 @@ def test_config_validation():
         PipelineConfig(training_cycles=1)
     with pytest.raises(InvalidInputError):
         PipelineConfig(z_threshold=0)
+    for bad in ({"training_cycles": 2.5}, {"training_cycles": True},
+                {"sigma_min": float("nan")}, {"match_grace_s": float("inf")},
+                {"on_enter_amps": 0.2, "off_enter_amps": 0.2}):
+        with pytest.raises(InvalidInputError):
+            PipelineConfig(**bad)
 
 
 def test_profile_reports_state_size_and_budget():

@@ -172,8 +172,9 @@ class TestDetect:
         assert streaks == [1, 2, 0]
 
     def test_threshold_validation(self):
-        with pytest.raises(InvalidInputError):
-            DetectorState(threshold=0)
+        for threshold in (0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                DetectorState(threshold=threshold)
 
 
 class TestSerialization:
