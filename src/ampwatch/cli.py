@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data/parse error,
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import fields as dataclass_fields
@@ -125,8 +126,8 @@ def _cmd_simulate(args) -> int:
     )
     scenarios = [_parse_scenario(s) for s in args.scenario or []]
     duration_s = args.duration_days * 86400.0 if args.duration_days else args.duration_s
-    if not duration_s or duration_s <= 0:
-        raise UsageError("need --duration-days or --duration-s > 0")
+    if not 0 < (duration_s or 0) < math.inf:
+        raise UsageError("need a finite --duration-days or --duration-s > 0")
     records, labels = generate_trace(
         profile, scenarios, duration_s, args.seed, start_timestamp_s=args.start_epoch
     )

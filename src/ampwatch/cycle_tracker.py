@@ -168,15 +168,15 @@ class CycleTracker:
             raise StreamOrderError(f"timestamp {ts} not after {self.last_timestamp_s}")
         self.last_timestamp_s = ts
 
-        prev = self.state
-        new = classify_state(record.rms_amps, prev, self.thresholds)
-        if new is prev:
-            if new is _ON:
+        # classify_state's hysteresis, decided in place
+        if self.state is _OFF:
+            if record.rms_amps > self.thresholds.on_enter_amps:
+                self.state = _ON
+                self._cycle_start_s = ts
                 self._accumulate(record)
             return None
-        self.state = new
-        if new is _ON:
-            self._cycle_start_s = ts
-            self._accumulate(record)
-            return None
-        return self._finish_cycle(record)
+        if record.rms_amps < self.thresholds.off_enter_amps:
+            self.state = _OFF
+            return self._finish_cycle(record)
+        self._accumulate(record)
+        return None

@@ -94,64 +94,66 @@ class Monitor:
         self.last_composite: Optional[float] = None
 
     def step(self, record: RmsRecord) -> Tuple[LogRecord, Optional[AnomalyEvent]]:
-        """Feed one record; only ``timestamp_s`` and ``rms_amps`` are read.
-
-        At most one event fires: a z-score event closes a cycle on the
-        record that starts the OFF streak, where the watchdog cannot fire.
-        """
-        tracker = self.tracker
-        features = tracker.ingest(record)
-        ts = record.timestamp_s
-        event = None
-        z_col = self.last_composite
-
-        if features is not None:
-            if self.model is None:
-                train_update(self.stats, features)
-                if self.stats.count >= self.config.training_cycles:
-                    self.model = finalize(self.stats, self.config.sigma_min)
-            else:
-                res = score(self.model, features)
-                self.last_composite = z_col = res.composite
-                if detect(self.detector, res.composite):
-                    event = AnomalyEvent(
-                        kind=EventKind.ZSCORE,
-                        detected_at_s=ts,
-                        composite=res.composite,
-                        streak=self.detector.streak,
-                        cycle_start_s=tracker.last_cycle_start_s,
-                        cycle_end_s=tracker.last_cycle_end_s,
-                    )
-
-        if tracker.state is _OFF:
-            if self.off_since is None:
-                # stream starts OFF, or an ON->OFF transition just happened
-                self.off_since = ts
-                self.wd_fired = False
-            elif not self.wd_fired and ts - self.off_since > self.wd_config.off_limit_s:
-                self.wd_fired = True
-                event = check_watchdog(
-                    ts, self.off_since, self.wd_config, False, self.detector.streak
-                )
-        else:
-            self.off_since = None
-            self.wd_fired = False
-
-        if event is None:
-            return LogRecord(ts, record.rms_amps, z_col, 0, _NO_EVENT), None
-        return LogRecord(ts, record.rms_amps, z_col, 1, event.kind), event
+        """One record through a one-record ``run``: ``(log_record, event or None)``."""
+        events: List[AnomalyEvent] = []
+        (log_record,) = self.run((record,), events)
+        return log_record, (events[0] if events else None)
 
     def run(self, records: Iterable[RmsRecord],
             events: List[AnomalyEvent]) -> Iterator[LogRecord]:
-        """Step through ``records``, yielding each log record and appending
-        each event to ``events``; call ``finish`` once the stream ends.
+        """Feed ``records``, yielding each log record and appending each
+        event to ``events``; call ``finish`` once the stream ends.  Only
+        ``timestamp_s`` and ``rms_amps`` are read.
+
+        At most one event fires per record: a z-score event closes a
+        cycle on the record that starts the OFF streak, where the
+        watchdog cannot fire.  State is written back on every record, so
+        a run may be left part-consumed or mixed with ``step`` calls.
         """
-        step = self.step
+        tracker, detector, wd_config = self.tracker, self.detector, self.wd_config
+        ingest, off_limit_s = tracker.ingest, wd_config.off_limit_s
         for record in records:
-            log_record, event = step(record)
-            if event is not None:
+            features = ingest(record)
+            ts = record.timestamp_s
+            event = None
+            z_col = self.last_composite
+
+            if features is not None:
+                model = self.model
+                if model is None:
+                    train_update(self.stats, features)
+                    if self.stats.count >= self.config.training_cycles:
+                        self.model = finalize(self.stats, self.config.sigma_min)
+                else:
+                    self.last_composite = z_col = score(model, features).composite
+                    if detect(detector, z_col):
+                        event = AnomalyEvent(
+                            kind=EventKind.ZSCORE,
+                            detected_at_s=ts,
+                            composite=z_col,
+                            streak=detector.streak,
+                            cycle_start_s=tracker.last_cycle_start_s,
+                            cycle_end_s=tracker.last_cycle_end_s,
+                        )
+
+            if tracker.state is _OFF:
+                off_since = self.off_since
+                if off_since is None:
+                    # stream starts OFF, or an ON->OFF transition just happened
+                    self.off_since = ts
+                    self.wd_fired = False
+                elif not self.wd_fired and ts - off_since > off_limit_s:
+                    self.wd_fired = True
+                    event = check_watchdog(ts, off_since, wd_config, False, detector.streak)
+            else:
+                self.off_since = None
+                self.wd_fired = False
+
+            if event is None:
+                yield LogRecord(ts, record.rms_amps, z_col, 0, _NO_EVENT)
+            else:
                 events.append(event)
-            yield log_record
+                yield LogRecord(ts, record.rms_amps, z_col, 1, event.kind)
 
     def finish(self) -> ModelParams:
         """End of stream: the model, or InsufficientTrainingError."""

@@ -58,11 +58,19 @@ class DeterministicRng:
             z = self._spare
             self._spare = None
             return mu + sigma * z
-        # Box-Muller; u1 must be nonzero for the log
+        # Box-Muller over two inlined random() draws; u1 must be nonzero
+        x = self._state
         u1 = 0.0
         while u1 == 0.0:
-            u1 = self.random()
-        u2 = self.random()
+            x ^= x >> 12
+            x ^= (x << 25) & _MASK
+            x ^= x >> 27
+            u1 = (((x * 0x2545F4914F6CDD1D) & _MASK) >> 11) * (2.0 ** -53)
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK
+        x ^= x >> 27
+        self._state = x
+        u2 = (((x * 0x2545F4914F6CDD1D) & _MASK) >> 11) * (2.0 ** -53)
         r = math.sqrt(-2.0 * math.log(u1))
         self._spare = r * math.sin(2.0 * math.pi * u2)
         return mu + sigma * r * math.cos(2.0 * math.pi * u2)

@@ -5,6 +5,7 @@ optional ingestion step for setups that log raw counts.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,9 +45,8 @@ class SampleBlock:
             raise InvalidInputError("sample block must not be empty")
         if self.sample_rate_hz <= 0:
             raise InvalidInputError("sample_rate_hz must be positive")
-        for s in self.samples:
-            if not math.isfinite(s):
-                raise InvalidInputError("sample block contains non-finite value")
+        if not all(map(math.isfinite, self.samples)):
+            raise InvalidInputError("sample block contains non-finite value")
 
 
 @dataclass(slots=True)
@@ -75,12 +75,12 @@ def compute_rms(block: SampleBlock) -> float:
     if n == 0:
         raise InvalidInputError("cannot compute RMS of an empty block")
     try:
-        total = math.fsum(s * s for s in samples)
+        total = math.fsum(map(operator.mul, samples, samples))
     except OverflowError:
         total = math.inf
     if _MIN_EXACT_SUM <= total < math.inf:
         return math.sqrt(total / n)
-    peak = max(abs(s) for s in samples)
+    peak = max(map(abs, samples))
     if peak == 0.0:
         return 0.0
     _, exp = math.frexp(peak)

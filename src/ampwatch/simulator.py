@@ -19,7 +19,7 @@ produces the same records on any platform.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum
 from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
@@ -61,16 +61,17 @@ class ApplianceProfile:
     record_interval_s: int = 30
 
     def __post_init__(self):
+        for f in dataclass_fields(self):
+            if f.type is float and not 0 <= getattr(self, f.name) < math.inf:
+                raise InvalidInputError(f"{f.name} must be finite and non-negative")
         if not 0 < self.on_rms_min_amps <= self.on_rms_max_amps:
             raise InvalidInputError("bad ON rms range")
-        if not 0 <= self.off_rms_amps < self.on_rms_min_amps:
+        if not self.off_rms_amps < self.on_rms_min_amps:
             raise InvalidInputError("OFF rms must sit below the ON range")
         if self.on_duration_mean_s <= 0 or self.off_duration_mean_s <= 0:
             raise InvalidInputError("durations must be positive")
-        if not 0 <= self.on_duration_jitter < 1 or not 0 <= self.off_duration_jitter < 1:
+        if not self.on_duration_jitter < 1 or not self.off_duration_jitter < 1:
             raise InvalidInputError("jitter fractions must be in [0, 1)")
-        if self.rms_noise_amps < 0:
-            raise InvalidInputError("rms_noise_amps must be non-negative")
         if not isinstance(self.record_interval_s, int) or self.record_interval_s <= 0:
             raise InvalidInputError("record_interval_s must be a positive integer")
 
@@ -163,6 +164,8 @@ def generate_trace(
     start_timestamp_s: int = DEFAULT_START_TIMESTAMP_S,
 ) -> Tuple[List[RmsRecord], List[GroundTruthLabel]]:
     """Synthesize an RMS record stream and its ground-truth labels."""
+    if not 0 <= duration_s < math.inf:
+        raise InvalidInputError("duration_s must be finite and non-negative")
     ordered = _validate_scenarios(scenarios, duration_s)
     rng = DeterministicRng(seed)
     segments, raw_labels = _plan_segments(profile, ordered, duration_s, rng)
@@ -197,10 +200,10 @@ def generate_waveform(
     """Raw sine block whose noiseless RMS equals target_rms_amps."""
     if n_samples <= 0:
         raise InvalidInputError("n_samples must be positive")
-    if sample_rate_hz <= 2 * mains_hz:
-        raise InvalidInputError("sample rate must exceed twice the mains frequency")
-    if target_rms_amps < 0 or noise_std_amps < 0:
-        raise InvalidInputError("amplitudes must be non-negative")
+    if not 2 * mains_hz < sample_rate_hz < math.inf:
+        raise InvalidInputError("sample rate must be finite and above twice mains_hz")
+    if not (0 <= target_rms_amps < math.inf and 0 <= noise_std_amps < math.inf):
+        raise InvalidInputError("amplitudes must be finite and non-negative")
     rng = DeterministicRng(seed)
     amplitude = target_rms_amps * math.sqrt(2.0)
     w = 2.0 * math.pi * mains_hz / sample_rate_hz

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from ampwatch import cli, event_log
+from ampwatch import cli, event_log, simulator
 from ampwatch.cli import main
 from ampwatch.pipeline import PipelineConfig, run_pipeline
 from ampwatch.zscore_model import FEATURE_NAMES
@@ -186,6 +186,25 @@ def test_failed_simulate_leaves_no_output(tmp_path):
                  "--out", str(trace), "--labels", str(labels)]) == 2
     assert not trace.exists()
     assert list(tmp_path.glob("*.part")) == []
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--duration-s", "3600", "--noise", "nan"], 2),
+    (["--duration-s", "3600", "--noise", "inf"], 2),
+    (["--duration-days", "nan"], 1),
+    (["--duration-days", "inf"], 1),
+    (["--duration-s", "nan"], 1),
+    (["--duration-s", "inf"], 1),
+    (["--duration-s", "-1"], 1),
+])
+def test_simulate_rejects_non_finite_input(tmp_path, monkeypatch, flags, code):
+    def planner(*args):
+        raise AssertionError("bad input reached the segment planner")
+    # an infinite duration would never leave the planner's loop
+    monkeypatch.setattr(simulator, "_plan_segments", planner)
+    trace, labels = tmp_path / "t.csv", tmp_path / "l.csv"
+    assert main(["simulate", *flags, "--out", str(trace), "--labels", str(labels)]) == code
+    assert not trace.exists() and not labels.exists()
 
 
 def test_run_memory_does_not_grow_with_trace_length(tmp_path):

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +251,10 @@ def record_streams(draw):
     return records
 
 
+PRETRAINED = ModelParams(mean=(0.87, 0.87, 0.005, 0.0, 900.0),
+                         std=(0.05, 0.05, 0.005, 1e-4, 600.0), trained_on=50)
+
+
 @given(
     records=record_streams(),
     training_cycles=st.integers(2, 4),
@@ -260,10 +265,52 @@ def record_streams(draw):
 def test_monitor_step_matches_reference(records, training_cycles, threshold, pretrained):
     config = PipelineConfig(training_cycles=training_cycles, z_threshold=threshold,
                             watchdog_off_limit_s=600)
-    model = None
-    if pretrained:
-        model = ModelParams(mean=(0.87, 0.87, 0.005, 0.0, 900.0),
-                            std=(0.05, 0.05, 0.005, 1e-4, 600.0), trained_on=50)
+    model = PRETRAINED if pretrained else None
     monitor, reference = Monitor(config, model), ReferenceMonitor(config, model)
     for record in records:
         assert monitor.step(record) == reference.step(record)
+
+
+@given(records=record_streams())
+@settings(deadline=None)
+def test_tracker_state_is_the_classify_state_fold(records):
+    tracker = CycleTracker()
+    state = CompressorState.OFF
+    for record in records:
+        tracker.ingest(record)
+        state = classify_state(record.rms_amps, state, tracker.thresholds)
+        assert tracker.state is state
+
+
+@given(
+    records=record_streams(),
+    training_cycles=st.integers(2, 4),
+    threshold=st.sampled_from([0.5, 1.0, 2.5]),
+    pretrained=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_monitor_run_matches_step(records, training_cycles, threshold, pretrained, data):
+    config = PipelineConfig(training_cycles=training_cycles, z_threshold=threshold,
+                            watchdog_off_limit_s=600)
+    model = PRETRAINED if pretrained else None
+    stepper = Monitor(config, model)
+    stepped = [stepper.step(record) for record in records]
+    want_log = [log_record for log_record, _ in stepped]
+    want_events = [event for _, event in stepped if event is not None]
+
+    events = []
+    assert list(Monitor(config, model).run(records, events)) == want_log
+    assert events == want_events
+
+    # a run broken off after k records and continued with step
+    k = data.draw(st.integers(0, len(records)), label="k")
+    monitor, events = Monitor(config, model), []
+    log = list(itertools.islice(monitor.run(records, events), k))
+    for record in records[k:]:
+        log_record, event = monitor.step(record)
+        log.append(log_record)
+        if event is not None:
+            events.append(event)
+    assert log == want_log
+    assert events == want_events

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ampwatch.errors import InvalidInputError, InvalidScenarioError
 from ampwatch.pipeline import PipelineConfig, run_pipeline
+from ampwatch import simulator
 from ampwatch.rng import DeterministicRng
 from ampwatch.signal_core import compute_rms
 from ampwatch.simulator import (
@@ -67,6 +69,31 @@ def test_timestamp_lattice(duration_s, interval_s, seed):
 def test_record_interval_must_be_a_positive_integer(interval):
     with pytest.raises(InvalidInputError):
         ApplianceProfile(record_interval_s=interval)
+
+
+PROFILE_FLOATS = [f.name for f in dataclasses.fields(ApplianceProfile) if f.type is float]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("name", PROFILE_FLOATS)
+def test_profile_rejects_non_finite_and_negative_floats(name, value):
+    with pytest.raises(InvalidInputError, match=name):
+        ApplianceProfile(**{name: value})
+
+
+@pytest.fixture
+def no_planner(monkeypatch):
+    """Fail fast instead of planning segments: an unbounded duration never
+    leaves the planner's loop."""
+    def planner(*args):
+        raise AssertionError("duration reached the segment planner")
+    monkeypatch.setattr(simulator, "_plan_segments", planner)
+
+
+@pytest.mark.parametrize("duration_s", [math.nan, math.inf, -math.inf, -1.0])
+def test_generate_trace_rejects_bad_duration(no_planner, duration_s):
+    with pytest.raises(InvalidInputError, match="duration_s"):
+        generate_trace(ApplianceProfile(), [], duration_s, seed=0)
 
 
 def test_power_disruption_label_and_levels():
@@ -169,6 +196,18 @@ class TestWaveform:
         with pytest.raises(InvalidInputError):
             generate_waveform(0.87, 0, 60.0, 6000.0, 0.0, seed=0)
 
+    @pytest.mark.parametrize("args", [
+        (math.nan, 100, 60.0, 6000.0, 0.0),
+        (math.inf, 100, 60.0, 6000.0, 0.0),
+        (0.87, 100, 60.0, 6000.0, math.nan),
+        (0.87, 100, 60.0, 6000.0, math.inf),
+        (0.87, 100, math.nan, 6000.0, 0.0),
+        (0.87, 100, 60.0, math.inf, 0.0),
+    ])
+    def test_non_finite_inputs_rejected(self, args):
+        with pytest.raises(InvalidInputError):
+            generate_waveform(*args, seed=0)
+
 
 class TestRng:
     def test_reproducible(self):
@@ -187,3 +226,55 @@ class TestRng:
         vals = np.array([rng.gauss(5.0, 2.0) for _ in range(20_000)])
         assert np.mean(vals) == pytest.approx(5.0, abs=0.1)
         assert np.std(vals) == pytest.approx(2.0, abs=0.1)
+
+    def test_gauss_matches_three_call_reference(self):
+        for seed in range(5):
+            rng, ref = DeterministicRng(seed), ReferenceGauss(seed)
+            for i in range(100_000):
+                if i % 7 == 0:
+                    assert rng.uniform(-1.0, 2.0).hex() == ref.rng.uniform(-1.0, 2.0).hex()
+                assert rng.gauss(0.87, 0.005).hex() == ref.gauss(0.87, 0.005).hex()
+
+    def test_gauss_retries_a_zero_uniform(self):
+        # the state whose next xorshift64* output is 1, so random() is 0.0
+        x = undo_xorshift(pow(0x2545F4914F6CDD1D, -1, 1 << 64))
+        rng, ref = DeterministicRng(0), ReferenceGauss(0)
+        rng._state = ref.rng._state = x
+        assert ref.rng.random() == 0.0
+        ref.rng._state = x
+        for _ in range(4):
+            assert rng.gauss().hex() == ref.gauss().hex()
+        assert rng._state == ref.rng._state
+
+
+def undo_xorshift(x):
+    """The state that one xorshift step (x ^= x >> 12; x ^= x << 25;
+    x ^= x >> 27) turns into ``x``."""
+    mask = (1 << 64) - 1
+    for shift, left in ((27, False), (25, True), (12, False)):
+        y = x
+        for _ in range(64):  # y reaches its fixed point within 64 // shift + 1 rounds
+            y = x ^ ((y << shift) & mask if left else y >> shift)
+        x = y
+    return x
+
+
+class ReferenceGauss:
+    """DeterministicRng.gauss in its three-call form: each uniform is
+    random() over next_u64()."""
+
+    def __init__(self, seed):
+        self.rng = DeterministicRng(seed)
+        self.spare = None
+
+    def gauss(self, mu=0.0, sigma=1.0):
+        if self.spare is not None:
+            z, self.spare = self.spare, None
+            return mu + sigma * z
+        u1 = 0.0
+        while u1 == 0.0:
+            u1 = self.rng.random()
+        u2 = self.rng.random()
+        r = math.sqrt(-2.0 * math.log(u1))
+        self.spare = r * math.sin(2.0 * math.pi * u2)
+        return mu + sigma * r * math.cos(2.0 * math.pi * u2)
