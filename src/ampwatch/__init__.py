@@ -34,6 +34,7 @@ from .simulator import (
     ScenarioKind,
     generate_trace,
     generate_waveform,
+    iter_trace,
 )
 from .zscore_model import (
     DetectorState,

@@ -21,6 +21,7 @@ from .simulator import (
     ApplianceProfile,
     ScenarioKind,
     generate_trace,
+    iter_trace,
     read_labels,
     write_labels,
 )
@@ -125,20 +126,21 @@ def _cmd_simulate(args) -> int:
         rms_noise_amps=args.noise,
     )
     scenarios = [_parse_scenario(s) for s in args.scenario or []]
-    duration_s = args.duration_days * 86400.0 if args.duration_days else args.duration_s
-    if not 0 < (duration_s or 0) < math.inf:
+    duration_s = args.duration_s if args.duration_days is None else args.duration_days * 86400.0
+    if not 0 < duration_s < math.inf:
         raise UsageError("need a finite --duration-days or --duration-s > 0")
-    records, labels = generate_trace(
+    segments, labels = iter_trace(
         profile, scenarios, duration_s, args.seed, start_timestamp_s=args.start_epoch
     )
     none = event_log.EventKind.NONE
-    log = (event_log.LogRecord(r.timestamp_s, r.rms_amps, None, 0, none) for r in records)
+    log = (event_log.LogRecord(r.timestamp_s, r.rms_amps, None, 0, none)
+           for segment in segments for r in segment)
     with _all_or_nothing([args.out, args.labels]) as (out_part, labels_part):
         with open(out_part, "w") as fh:
-            event_log.write_log(log, fh)
+            n_records = event_log.write_log(log, fh)
         with open(labels_part, "w") as fh:
             write_labels(labels, fh)
-    print(f"wrote {len(records)} records to {args.out}, "
+    print(f"wrote {n_records} records to {args.out}, "
           f"{len(labels)} labels to {args.labels}")
     return 0
 
@@ -226,8 +228,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="synthesize a trace CSV and labels CSV")
-    p.add_argument("--duration-days", type=float)
-    p.add_argument("--duration-s", type=float)
+    duration = p.add_mutually_exclusive_group(required=True)
+    duration.add_argument("--duration-days", type=float)
+    duration.add_argument("--duration-s", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--interval", type=int, default=30)
     p.add_argument("--noise", type=float, default=0.005)

@@ -21,7 +21,7 @@ produces the same records on any platform.
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .errors import InvalidInputError, InvalidScenarioError, LogParseError
 from .event_log import iter_rows
@@ -108,8 +108,8 @@ def _validate_scenarios(scenarios: Sequence[AnomalyScenario], duration_s: float)
                 f"scenario start {sc.start_s} outside trace duration"
             )
         mag = sc.magnitude_or_default()
-        if mag <= 0:
-            raise InvalidScenarioError("scenario magnitude must be positive")
+        if not 0 < mag < math.inf:
+            raise InvalidScenarioError("scenario magnitude must be finite and positive")
         if prev_end is not None and sc.start_s < prev_end:
             raise InvalidScenarioError("scenarios overlap in time")
         prev_end = sc.start_s + mag
@@ -156,6 +156,46 @@ def _plan_segments(profile, scenarios, duration_s, rng):
     return segments, labels
 
 
+def iter_trace(
+    profile: ApplianceProfile,
+    scenarios: Sequence[AnomalyScenario],
+    duration_s: float,
+    seed: int,
+    start_timestamp_s: int = DEFAULT_START_TIMESTAMP_S,
+) -> Tuple[Iterator[List[RmsRecord]], List[GroundTruthLabel]]:
+    """A generator of one record list per planned segment, and the labels.
+
+    Input is checked and all segments planned before this returns: the
+    plan's uniform draws precede the first noise draw in the stream.
+    """
+    if not 0 <= duration_s < math.inf:
+        raise InvalidInputError("duration_s must be finite and non-negative")
+    ordered = _validate_scenarios(scenarios, duration_s)
+    rng = DeterministicRng(seed)
+    segments, raw_labels = _plan_segments(profile, ordered, duration_s, rng)
+    labels = [
+        GroundTruthLabel(start_timestamp_s + ws, start_timestamp_s + we, kind)
+        for ws, we, kind in raw_labels
+    ]
+    return _sample_segments(profile, segments, duration_s, rng, start_timestamp_s), labels
+
+
+def _sample_segments(profile, segments, duration_s, rng, start):
+    iv = profile.record_interval_s
+    # segments tile [0, >= duration_s) on the iv lattice, so each
+    # segment's records are exactly its own range
+    end = int(duration_s // iv) * iv
+    noise = profile.rms_noise_amps
+    gauss = rng.gauss
+    for _, seg_start, seg_len, level in segments:
+        lattice = range(start + seg_start, start + min(seg_start + seg_len, end), iv)
+        if noise > 0:
+            yield [RmsRecord(t, 0.0 if (r := level + gauss(0.0, noise)) < 0.0 else r)
+                   for t in lattice]
+        else:
+            yield [RmsRecord(t, level) for t in lattice]
+
+
 def generate_trace(
     profile: ApplianceProfile,
     scenarios: Sequence[AnomalyScenario],
@@ -164,28 +204,10 @@ def generate_trace(
     start_timestamp_s: int = DEFAULT_START_TIMESTAMP_S,
 ) -> Tuple[List[RmsRecord], List[GroundTruthLabel]]:
     """Synthesize an RMS record stream and its ground-truth labels."""
-    if not 0 <= duration_s < math.inf:
-        raise InvalidInputError("duration_s must be finite and non-negative")
-    ordered = _validate_scenarios(scenarios, duration_s)
-    rng = DeterministicRng(seed)
-    segments, raw_labels = _plan_segments(profile, ordered, duration_s, rng)
-
-    iv = profile.record_interval_s
-    # segments tile [0, >= duration_s) on the iv lattice, so each
-    # segment's records are exactly its own range
-    end = int(duration_s // iv) * iv
-    noise = profile.rms_noise_amps
-    gauss = rng.gauss
+    segments, labels = iter_trace(profile, scenarios, duration_s, seed, start_timestamp_s)
     records: List[RmsRecord] = []
-    for _, seg_start, seg_len, level in segments:
-        for t in range(seg_start, min(seg_start + seg_len, end), iv):
-            rms = level + gauss(0.0, noise) if noise > 0 else level
-            records.append(RmsRecord(start_timestamp_s + t, 0.0 if rms < 0.0 else rms))
-
-    labels = [
-        GroundTruthLabel(start_timestamp_s + ws, start_timestamp_s + we, kind)
-        for ws, we, kind in raw_labels
-    ]
+    for segment in segments:
+        records += segment
     return records, labels
 
 

@@ -196,6 +196,9 @@ def test_failed_simulate_leaves_no_output(tmp_path):
     (["--duration-s", "nan"], 1),
     (["--duration-s", "inf"], 1),
     (["--duration-s", "-1"], 1),
+    (["--duration-s", "86400", "--scenario", "long_on:100:nan"], 2),
+    (["--duration-s", "86400", "--scenario", "outage:100:inf"], 2),
+    (["--duration-s", "86400", "--scenario", "door_open:100:-inf"], 2),
 ])
 def test_simulate_rejects_non_finite_input(tmp_path, monkeypatch, flags, code):
     def planner(*args):
@@ -205,6 +208,34 @@ def test_simulate_rejects_non_finite_input(tmp_path, monkeypatch, flags, code):
     trace, labels = tmp_path / "t.csv", tmp_path / "l.csv"
     assert main(["simulate", *flags, "--out", str(trace), "--labels", str(labels)]) == code
     assert not trace.exists() and not labels.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--duration-days", "1", "--duration-s", "5"],
+    ["--duration-days", "0", "--duration-s", "3600"],
+    [],
+])
+def test_simulate_takes_exactly_one_duration_flag(tmp_path, capsys, flags):
+    trace, labels = tmp_path / "t.csv", tmp_path / "l.csv"
+    assert main(["simulate", *flags, "--out", str(trace), "--labels", str(labels)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_memory_does_not_grow_with_trace_length(tmp_path):
+    def simulate_peak(days):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--duration-days", str(days), "--seed", "2",
+                         "--out", str(tmp_path / "trace.csv"),
+                         "--labels", str(tmp_path / "labels.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = simulate_peak(2), simulate_peak(20)
+    assert long < 2**20
+    assert long < 2 * short
 
 
 def test_run_memory_does_not_grow_with_trace_length(tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ampwatch.errors import InvalidInputError, InvalidScenarioError
@@ -17,6 +17,7 @@ from ampwatch.simulator import (
     ScenarioKind,
     generate_trace,
     generate_waveform,
+    iter_trace,
 )
 
 DAY = 86_400.0
@@ -94,6 +95,78 @@ def no_planner(monkeypatch):
 def test_generate_trace_rejects_bad_duration(no_planner, duration_s):
     with pytest.raises(InvalidInputError, match="duration_s"):
         generate_trace(ApplianceProfile(), [], duration_s, seed=0)
+
+
+@pytest.mark.parametrize("magnitude", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_scenario_magnitude_must_be_finite_and_positive(no_planner, kind, magnitude):
+    scenario = AnomalyScenario(kind, 100.0, magnitude)
+    with pytest.raises(InvalidScenarioError, match="magnitude"):
+        generate_trace(ApplianceProfile(), [scenario], DAY, seed=0)
+
+
+@pytest.mark.parametrize("duration_s, scenarios", [
+    (math.nan, []),
+    (-1.0, []),
+    (DAY, [AnomalyScenario(ScenarioKind.DOOR_OPEN, 2 * DAY)]),
+    (DAY, [AnomalyScenario(ScenarioKind.THERMOSTAT_LONG_ON, 100.0, math.inf)]),
+])
+def test_iter_trace_rejects_bad_input_when_called(no_planner, duration_s, scenarios):
+    # raised by the call itself, before the first segment is asked for
+    with pytest.raises((InvalidInputError, InvalidScenarioError)):
+        iter_trace(ApplianceProfile(), scenarios, duration_s, seed=0)
+
+
+# one fault of each kind, as in the paper's scenario set, early enough
+# for the shortest trace drawn with them
+FAULTS = [
+    AnomalyScenario(ScenarioKind.THERMOSTAT_LONG_ON, 0.25 * DAY),
+    AnomalyScenario(ScenarioKind.DOOR_OPEN, 0.75 * DAY),
+    AnomalyScenario(ScenarioKind.POWER_DISRUPTION, 1.25 * DAY),
+]
+
+
+def reference_trace(profile, scenarios, duration_s, seed, start):
+    """(timestamp, rms.hex()) pairs drawn one record at a time, and the
+    number of planned segments."""
+    rng = DeterministicRng(seed)
+    segments, _ = simulator._plan_segments(profile, scenarios, duration_s, rng)
+    iv, noise = profile.record_interval_s, profile.rms_noise_amps
+    end = int(duration_s // iv) * iv
+    pairs = []
+    for _, seg_start, seg_len, level in segments:
+        for t in range(seg_start, min(seg_start + seg_len, end), iv):
+            rms = level + rng.gauss(0.0, noise) if noise > 0 else level
+            pairs.append((start + t, (0.0 if rms < 0.0 else rms).hex()))
+    return pairs, len(segments)
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**40),
+    extra_s=st.floats(0, DAY) | st.integers(0, int(DAY)),
+    interval_s=st.integers(10, 900),
+    # 0.5 A of noise pulls the 0.07 A OFF level below zero, where it clamps
+    noise=st.sampled_from([0.0, 0.005, 0.5]) | st.floats(0, 1),
+    faults=st.booleans(),
+)
+@example(seed=7, start=1_700_000_000, extra_s=DAY, interval_s=30, noise=0.5, faults=True)
+@example(seed=7, start=1_700_000_000, extra_s=DAY, interval_s=30, noise=0.0, faults=True)
+@settings(max_examples=60, deadline=None)
+def test_iter_trace_is_generate_trace(seed, start, extra_s, interval_s, noise, faults):
+    profile = ApplianceProfile(record_interval_s=interval_s, rms_noise_amps=noise)
+    scenarios = FAULTS if faults else []
+    duration_s = (1.5 * DAY if faults else 0) + extra_s
+    segments, labels = iter_trace(profile, scenarios, duration_s, seed, start)
+    lists = list(segments)
+    records, expected_labels = generate_trace(profile, scenarios, duration_s, seed, start)
+    expected, n_segments = reference_trace(profile, scenarios, duration_s, seed, start)
+    assert [(r.timestamp_s, r.rms_amps.hex()) for seg in lists for r in seg] == expected
+    assert [(r.timestamp_s, r.rms_amps.hex()) for r in records] == expected
+    assert labels == expected_labels
+    assert len(lists) == n_segments
+    if noise == 0.5 and faults:
+        assert (0.0).hex() in {h for _, h in expected}
 
 
 def test_power_disruption_label_and_levels():
