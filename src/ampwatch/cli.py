@@ -17,6 +17,7 @@ from .errors import AmpwatchError, InsufficientTrainingError, InvalidInputError,
 from .evaluation import evaluate, report_kv, report_text
 from .pipeline import PROFILE_BATCH, Monitor, PipelineConfig, profile_inference, run_pipeline
 from .simulator import (
+    DEFAULT_START_TIMESTAMP_S,
     AnomalyScenario,
     ApplianceProfile,
     ScenarioKind,
@@ -232,9 +233,9 @@ def build_parser() -> _Parser:
     duration.add_argument("--duration-days", type=float)
     duration.add_argument("--duration-s", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--interval", type=int, default=30)
-    p.add_argument("--noise", type=float, default=0.005)
-    p.add_argument("--start-epoch", type=int, default=1_700_000_000)
+    p.add_argument("--interval", type=int, default=ApplianceProfile.record_interval_s)
+    p.add_argument("--noise", type=float, default=ApplianceProfile.rms_noise_amps)
+    p.add_argument("--start-epoch", type=int, default=DEFAULT_START_TIMESTAMP_S)
     p.add_argument("--scenario", action="append",
                    help="kind:start_s[:magnitude], repeatable; kinds: "
                         "long_on, door_open, power_disruption")

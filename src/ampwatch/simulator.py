@@ -1,21 +1,22 @@
 """Deterministic appliance-trace synthesis with injectable faults.
 
-Traces are planned as alternating ON/OFF segments snapped to the record
-interval, then sampled on an exact timestamp lattice.  Scenarios attach
-to the first full compressor cycle whose span contains their start time:
+Traces are planned as compressor cycles, each an ON and an OFF segment
+snapped to the record interval, then sampled on an exact timestamp
+lattice.  A scenario attaches to the first cycle that does not already
+carry a fault and whose drawn span reaches past the scenario's start:
 
 - ThermostatLongOn stretches that cycle's ON duration to the scenario
-  magnitude (default 5 h).
+  magnitude (default 5 h), which must outlast the longest normal ON.
 - DoorOpen multiplies the drawn ON duration by a factor in [2, 3]
   (delayed transition to OFF after the door event).
 - PowerDisruption lets the ON segment complete, then forces OFF-level
   RMS for the scenario magnitude (default 2 h, beyond the watchdog
-  limit).
+  limit), which must outlast the longest normal OFF.
 
 Each scenario yields exactly one ground-truth label covering the
-anomalous interval.  All randomness comes from the package's own
-xorshift64* stream, so a (profile, scenarios, duration, seed) tuple
-produces the same records on any platform.
+anomalous interval, or InvalidScenarioError.  All randomness comes from
+the package's own xorshift64* stream, so a (profile, scenarios,
+duration, seed) tuple produces the same records on any platform.
 """
 
 import math
@@ -108,19 +109,16 @@ def _validate_scenarios(scenarios: Sequence[AnomalyScenario], duration_s: float)
                 f"scenario start {sc.start_s} outside trace duration"
             )
         mag = sc.magnitude_or_default()
-        if not 0 < mag < math.inf:
-            raise InvalidScenarioError("scenario magnitude must be finite and positive")
+        if not 0 < mag < duration_s:
+            raise InvalidScenarioError("scenario magnitude must be positive and below duration_s")
         if prev_end is not None and sc.start_s < prev_end:
             raise InvalidScenarioError("scenarios overlap in time")
         prev_end = sc.start_s + mag
     return ordered
 
 
-def _plan_segments(profile, scenarios, duration_s, rng):
-    """Alternating (is_on, start, duration, level) segments plus labels.
-
-    Times are relative seconds on the record-interval lattice.
-    """
+def _plan_segments(profile, scenarios, duration_s, rng, start):
+    """Back-to-back (on_s, level, off_s) cycles on the record-interval lattice, and labels."""
     iv = profile.record_interval_s
 
     def snap(x):
@@ -130,7 +128,7 @@ def _plan_segments(profile, scenarios, duration_s, rng):
         return snap(rng.uniform(mean * (1 - jitter), mean * (1 + jitter)))
 
     pending = list(scenarios)
-    segments = []
+    cycles = []
     labels = []
     t = 0
     while t < duration_s:
@@ -141,19 +139,23 @@ def _plan_segments(profile, scenarios, duration_s, rng):
             mag = sc.magnitude_or_default()
             if sc.kind == ScenarioKind.THERMOSTAT_LONG_ON:
                 on_d = snap(mag)
-                labels.append((t, t + on_d, sc.kind))
+                if on_d <= snap(profile.on_duration_mean_s * (1 + profile.on_duration_jitter)):
+                    raise InvalidScenarioError(f"long_on {mag} s must outlast a normal ON")
+                labels.append(GroundTruthLabel(start + t, start + t + on_d, sc.kind))
             elif sc.kind == ScenarioKind.DOOR_OPEN:
                 on_d = snap(on_d * rng.uniform(2.0, 3.0))
-                labels.append((t, t + on_d, sc.kind))
+                labels.append(GroundTruthLabel(start + t, start + t + on_d, sc.kind))
             else:  # POWER_DISRUPTION
                 off_d = snap(mag)
-                labels.append((t + on_d, t + on_d + off_d, sc.kind))
+                if off_d <= snap(profile.off_duration_mean_s * (1 + profile.off_duration_jitter)):
+                    raise InvalidScenarioError(f"outage {mag} s must outlast a normal OFF")
+                labels.append(GroundTruthLabel(start + t + on_d, start + t + on_d + off_d, sc.kind))
         level = rng.uniform(profile.on_rms_min_amps, profile.on_rms_max_amps)
-        segments.append((True, t, on_d, level))
-        t += on_d
-        segments.append((False, t, off_d, profile.off_rms_amps))
-        t += off_d
-    return segments, labels
+        cycles.append((on_d, level, off_d))
+        t += on_d + off_d
+    if pending:
+        raise InvalidScenarioError(f"scenario at {pending[0].start_s} s finds no free cycle")
+    return cycles, labels
 
 
 def iter_trace(
@@ -172,28 +174,23 @@ def iter_trace(
         raise InvalidInputError("duration_s must be finite and non-negative")
     ordered = _validate_scenarios(scenarios, duration_s)
     rng = DeterministicRng(seed)
-    segments, raw_labels = _plan_segments(profile, ordered, duration_s, rng)
-    labels = [
-        GroundTruthLabel(start_timestamp_s + ws, start_timestamp_s + we, kind)
-        for ws, we, kind in raw_labels
-    ]
-    return _sample_segments(profile, segments, duration_s, rng, start_timestamp_s), labels
+    cycles, labels = _plan_segments(profile, ordered, duration_s, rng, start_timestamp_s)
+    return _sample_segments(profile, cycles, duration_s, rng, start_timestamp_s), labels
 
 
-def _sample_segments(profile, segments, duration_s, rng, start):
+def _sample_segments(profile, cycles, duration_s, rng, start):
     iv = profile.record_interval_s
-    # segments tile [0, >= duration_s) on the iv lattice, so each
+    # cycles tile [0, >= duration_s) on the iv lattice, so each
     # segment's records are exactly its own range
-    end = int(duration_s // iv) * iv
+    end = start + int(duration_s // iv) * iv
     noise = profile.rms_noise_amps
     gauss = rng.gauss
-    for _, seg_start, seg_len, level in segments:
-        lattice = range(start + seg_start, start + min(seg_start + seg_len, end), iv)
-        if noise > 0:
-            yield [RmsRecord(t, 0.0 if (r := level + gauss(0.0, noise)) < 0.0 else r)
-                   for t in lattice]
-        else:
-            yield [RmsRecord(t, level) for t in lattice]
+    t = start
+    for on_s, on_level, off_s in cycles:
+        for seg_s, level in ((on_s, on_level), (off_s, profile.off_rms_amps)):
+            yield [RmsRecord(ts, 0.0 if (r := level + gauss(0.0, noise)) < 0.0 else r)
+                   for ts in range(t, min(t + seg_s, end), iv)]
+            t += seg_s
 
 
 def generate_trace(

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import io
 import json
 import subprocess
@@ -49,6 +50,32 @@ def simulate(ws, seed=0):
         *SCENARIOS,
         "--out", str(ws["trace"]), "--labels", str(ws["labels"]),
     ])
+
+
+# README's seed-7 flow: simulate, run, eval, replay --model
+README_FLOW_SHA256 = {
+    "trace.csv": "cf58d73cc04c45d6ebdda5cffc878d3edd301ae22d029deb99f51330431ef2c5",
+    "labels.csv": "854957278d538b807206d2ab83faf9a07f543450099f1ac059e4743195882c14",
+    "log.csv": "6611bbb90e8837f71f87f79884890e1e48e56a4ee33db6a3bdbf55dae75ef889",
+    "events.csv": "f2afe03e21be2e9b74c5cdb811638640c35d37a83cce937403a1d1bcb35e0c95",
+    "model.txt": "6ea377a516fba60200913c8adfeecf23541ef2ae45fa91514ff1f1a3dfcedf68",
+    "replayed.csv": "c73765f547e803434d4cef28bd99e71241a173aab52fea174f848d0ebc360fe5",
+    "report.txt": "197ddf812f456c4b9d90642cb7b42c3af7d9203e9de7a216472d78358f60ea7e",
+}
+
+
+def test_readme_flow_bytes_are_pinned(workspace):
+    ws = workspace
+    assert simulate(ws, seed=7) == 0
+    assert main(["run", "--trace", str(ws["trace"]), "--log", str(ws["log"]),
+                 "--events", str(ws["events"]), "--model", str(ws["model"])]) == 0
+    assert main(["eval", "--events", str(ws["events"]), "--labels", str(ws["labels"]),
+                 "--report", str(ws["report"])]) == 0
+    assert main(["replay", "--log", str(ws["log"]), "--out", str(ws["dir"] / "replayed.csv"),
+                 "--model", str(ws["model"])]) == 0
+    digests = {name: hashlib.sha256((ws["dir"] / name).read_bytes()).hexdigest()
+               for name in README_FLOW_SHA256}
+    assert digests == README_FLOW_SHA256
 
 
 def test_end_to_end_perfect_detection(workspace, capsys):
@@ -208,6 +235,30 @@ def test_simulate_rejects_non_finite_input(tmp_path, monkeypatch, flags, code):
     trace, labels = tmp_path / "t.csv", tmp_path / "l.csv"
     assert main(["simulate", *flags, "--out", str(trace), "--labels", str(labels)]) == code
     assert not trace.exists() and not labels.exists()
+
+
+@pytest.mark.parametrize("scenarios", [
+    ["long_on:100:1e-300"],  # shorter than a normal ON
+    ["outage:100:60"],  # shorter than a normal OFF
+    ["long_on:100:1e300"],  # longer than the trace
+    ["door_open:83400", "door_open:84900"],  # no cycle left for the second
+])
+def test_simulate_refuses_a_scenario_it_cannot_place(tmp_path, capsys, scenarios):
+    flags = [arg for sc in scenarios for arg in ("--scenario", sc)]
+    assert main(["simulate", "--duration-s", "86400", *flags,
+                 "--out", str(tmp_path / "t.csv"), "--labels", str(tmp_path / "l.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_defaults_are_the_library_defaults():
+    args = cli.build_parser().parse_args(
+        ["simulate", "--duration-s", "1", "--out", "t.csv", "--labels", "l.csv"])
+    profile = simulator.ApplianceProfile()
+    assert args.interval == profile.record_interval_s
+    assert args.noise == profile.rms_noise_amps
+    assert args.start_epoch == simulator.DEFAULT_START_TIMESTAMP_S
 
 
 @pytest.mark.parametrize("flags", [

@@ -97,7 +97,7 @@ def test_generate_trace_rejects_bad_duration(no_planner, duration_s):
         generate_trace(ApplianceProfile(), [], duration_s, seed=0)
 
 
-@pytest.mark.parametrize("magnitude", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("magnitude", [math.nan, math.inf, -math.inf, 0.0, -1.0, DAY, 1e300])
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_scenario_magnitude_must_be_finite_and_positive(no_planner, kind, magnitude):
     scenario = AnomalyScenario(kind, 100.0, magnitude)
@@ -130,13 +130,18 @@ def reference_trace(profile, scenarios, duration_s, seed, start):
     """(timestamp, rms.hex()) pairs drawn one record at a time, and the
     number of planned segments."""
     rng = DeterministicRng(seed)
-    segments, _ = simulator._plan_segments(profile, scenarios, duration_s, rng)
+    cycles, _ = simulator._plan_segments(profile, scenarios, duration_s, rng, start)
+    segments, t = [], 0
+    for on_s, level, off_s in cycles:
+        segments += [(t, on_s, level), (t + on_s, off_s, profile.off_rms_amps)]
+        t += on_s + off_s
     iv, noise = profile.record_interval_s, profile.rms_noise_amps
     end = int(duration_s // iv) * iv
     pairs = []
-    for _, seg_start, seg_len, level in segments:
+    for seg_start, seg_len, level in segments:
         for t in range(seg_start, min(seg_start + seg_len, end), iv):
-            rms = level + rng.gauss(0.0, noise) if noise > 0 else level
+            # drawn at zero noise too: gauss(0.0, 0.0) adds a signed zero
+            rms = level + rng.gauss(0.0, noise)
             pairs.append((start + t, (0.0 if rms < 0.0 else rms).hex()))
     return pairs, len(segments)
 
@@ -225,6 +230,51 @@ def test_scenario_outside_duration_rejected():
     scen = [AnomalyScenario(ScenarioKind.DOOR_OPEN, 2 * DAY)]
     with pytest.raises(InvalidScenarioError):
         generate_trace(ApplianceProfile(), scen, DAY, seed=0)
+
+
+@pytest.mark.parametrize("kind, normal_max", [
+    (ScenarioKind.THERMOSTAT_LONG_ON, 1980),  # the longest normal ON: 1800 s + 10%
+    (ScenarioKind.POWER_DISRUPTION, 2970),    # the longest normal OFF: 2700 s + 10%
+])
+def test_fault_must_outlast_the_longest_normal_segment(kind, normal_max):
+    for magnitude in (1e-300, 60.0, normal_max):
+        with pytest.raises(InvalidScenarioError, match="must outlast"):
+            generate_trace(ApplianceProfile(), [AnomalyScenario(kind, 100.0, magnitude)], DAY, 0)
+    longer = AnomalyScenario(kind, 100.0, normal_max + 30)
+    _, labels = generate_trace(ApplianceProfile(), [longer], DAY, seed=0)
+    assert [(l.kind, l.window_end_s - l.window_start_s) for l in labels] == [(kind, normal_max + 30)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_scenario_behind_a_fault_in_the_last_cycle_is_refused(seed):
+    # the first door event stretches the last planned cycle past the trace end
+    scen = [
+        AnomalyScenario(ScenarioKind.DOOR_OPEN, 83_400.0),
+        AnomalyScenario(ScenarioKind.DOOR_OPEN, 84_900.0),
+    ]
+    with pytest.raises(InvalidScenarioError, match="no free cycle"):
+        generate_trace(ApplianceProfile(), scen, DAY, seed)
+
+
+@given(
+    scenarios=st.lists(st.builds(
+        AnomalyScenario,
+        kind=st.sampled_from(list(ScenarioKind)),
+        start_s=st.floats(0, DAY / 8, exclude_max=True),
+        magnitude=st.none() | st.floats(1.0, DAY / 8),
+    ), max_size=4),
+    seed=st.integers(0, 2**64 - 1),
+)
+# the long ON runs the first cycle past the trace end, so no cycle is left for the door
+@example(scenarios=[AnomalyScenario(ScenarioKind.THERMOSTAT_LONG_ON, 0.0, 9000.0),
+                    AnomalyScenario(ScenarioKind.DOOR_OPEN, 9500.0)], seed=0)
+@settings(max_examples=150, deadline=None)
+def test_each_scenario_yields_one_label_or_is_refused(scenarios, seed):
+    try:
+        _, labels = generate_trace(ApplianceProfile(), scenarios, DAY / 8, seed)
+    except InvalidScenarioError:
+        return
+    assert [l.kind for l in labels] == [s.kind for s in sorted(scenarios, key=lambda s: s.start_s)]
 
 
 def test_clean_trace_pipeline_calibration():
