@@ -180,6 +180,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    if args.trials <= 0:
+        raise UsageError("--trials must be positive")
     config = _load_config(args)
     if args.model:
         with open(args.model) as fh:

@@ -114,6 +114,8 @@ class CycleTracker:
         self.thresholds = thresholds
         self.state = CompressorState.OFF
         self.last_timestamp_s: Optional[int] = None
+        # start of the current OFF streak: the first record or the last ON->OFF trigger
+        self.off_since_s: Optional[int] = None
         # interval of the most recently completed cycle
         self.last_cycle_start_s: Optional[int] = None
         self.last_cycle_end_s: Optional[int] = None
@@ -158,13 +160,16 @@ class CycleTracker:
         )
         self.last_cycle_start_s = self._cycle_start_s
         self.last_cycle_end_s = trigger.timestamp_s
+        self.off_since_s = trigger.timestamp_s
         self._reset_cycle()
         return features
 
     def ingest(self, record: RmsRecord) -> Optional[CycleFeatures]:
         """Feed one record; returns features when it closes an ON cycle."""
         ts = record.timestamp_s
-        if self.last_timestamp_s is not None and ts <= self.last_timestamp_s:
+        if self.last_timestamp_s is None:
+            self.off_since_s = ts
+        elif ts <= self.last_timestamp_s:
             raise StreamOrderError(f"timestamp {ts} not after {self.last_timestamp_s}")
         self.last_timestamp_s = ts
 

@@ -89,7 +89,6 @@ class Monitor:
         self.stats = FeatureStats()
         self.model = model
         self.detector = DetectorState(threshold=config.z_threshold)
-        self.off_since: Optional[int] = None
         self.wd_fired = False
         self.last_composite: Optional[float] = None
 
@@ -105,55 +104,51 @@ class Monitor:
         event to ``events``; call ``finish`` once the stream ends.  Only
         ``timestamp_s`` and ``rms_amps`` are read.
 
-        At most one event fires per record: a z-score event closes a
-        cycle on the record that starts the OFF streak, where the
-        watchdog cannot fire.  State is written back on every record, so
-        a run may be left part-consumed or mixed with ``step`` calls.
+        A record either closes a cycle (``_close_cycle``) or may fire the
+        watchdog on the tracker's ``off_since_s``, never both.  State is
+        written back on every record, so a run may be left part-consumed
+        or mixed with ``step`` calls.
         """
-        tracker, detector, wd_config = self.tracker, self.detector, self.wd_config
+        tracker, wd_config = self.tracker, self.wd_config
         ingest, off_limit_s = tracker.ingest, wd_config.off_limit_s
         for record in records:
             features = ingest(record)
             ts = record.timestamp_s
             event = None
-            z_col = self.last_composite
-
             if features is not None:
-                model = self.model
-                if model is None:
-                    train_update(self.stats, features)
-                    if self.stats.count >= self.config.training_cycles:
-                        self.model = finalize(self.stats, self.config.sigma_min)
-                else:
-                    self.last_composite = z_col = score(model, features).composite
-                    if detect(detector, z_col):
-                        event = AnomalyEvent(
-                            kind=EventKind.ZSCORE,
-                            detected_at_s=ts,
-                            composite=z_col,
-                            streak=detector.streak,
-                            cycle_start_s=tracker.last_cycle_start_s,
-                            cycle_end_s=tracker.last_cycle_end_s,
-                        )
-
-            if tracker.state is _OFF:
-                off_since = self.off_since
-                if off_since is None:
-                    # stream starts OFF, or an ON->OFF transition just happened
-                    self.off_since = ts
-                    self.wd_fired = False
-                elif not self.wd_fired and ts - off_since > off_limit_s:
-                    self.wd_fired = True
-                    event = check_watchdog(ts, off_since, wd_config, False, detector.streak)
-            else:
-                self.off_since = None
-                self.wd_fired = False
-
+                event = self._close_cycle(features, ts)
+            elif (tracker.state is _OFF and not self.wd_fired
+                  and ts - tracker.off_since_s > off_limit_s):
+                self.wd_fired = True
+                event = check_watchdog(ts, tracker.off_since_s, wd_config, False,
+                                       self.detector.streak)
+            z_col = self.last_composite
             if event is None:
                 yield LogRecord(ts, record.rms_amps, z_col, 0, _NO_EVENT)
             else:
                 events.append(event)
                 yield LogRecord(ts, record.rms_amps, z_col, 1, event.kind)
+
+    def _close_cycle(self, features: CycleFeatures, ts: int) -> Optional[AnomalyEvent]:
+        """Train on, or score and detect, the cycle that record ``ts``
+        closed; the OFF streak that ``ts`` starts gets a fresh watchdog."""
+        self.wd_fired = False
+        if self.model is None:
+            train_update(self.stats, features)
+            if self.stats.count >= self.config.training_cycles:
+                self.model = finalize(self.stats, self.config.sigma_min)
+            return None
+        self.last_composite = composite = score(self.model, features).composite
+        if not detect(self.detector, composite):
+            return None
+        return AnomalyEvent(
+            kind=EventKind.ZSCORE,
+            detected_at_s=ts,
+            composite=composite,
+            streak=self.detector.streak,
+            cycle_start_s=self.tracker.last_cycle_start_s,
+            cycle_end_s=ts,
+        )
 
     def finish(self) -> ModelParams:
         """End of stream: the model, or InsufficientTrainingError."""

@@ -8,15 +8,17 @@ carry a fault and whose drawn span reaches past the scenario's start:
 - ThermostatLongOn stretches that cycle's ON duration to the scenario
   magnitude (default 5 h), which must outlast the longest normal ON.
 - DoorOpen multiplies the drawn ON duration by a factor in [2, 3]
-  (delayed transition to OFF after the door event).
+  (delayed transition to OFF after the door event); the stretched ON
+  too must outlast the longest normal ON.
 - PowerDisruption lets the ON segment complete, then forces OFF-level
   RMS for the scenario magnitude (default 2 h, beyond the watchdog
   limit), which must outlast the longest normal OFF.
 
 Each scenario yields exactly one ground-truth label covering the
-anomalous interval, or InvalidScenarioError.  All randomness comes from
-the package's own xorshift64* stream, so a (profile, scenarios,
-duration, seed) tuple produces the same records on any platform.
+anomalous interval and ending within the trace, or InvalidScenarioError.
+All randomness comes from the package's own xorshift64* stream, so a
+(profile, scenarios, duration, seed) tuple produces the same records on
+any platform.
 """
 
 import math
@@ -137,19 +139,21 @@ def _plan_segments(profile, scenarios, duration_s, rng, start):
         if pending and pending[0].start_s < t + on_d + off_d:
             sc = pending.pop(0)
             mag = sc.magnitude_or_default()
-            if sc.kind == ScenarioKind.THERMOSTAT_LONG_ON:
-                on_d = snap(mag)
-                if on_d <= snap(profile.on_duration_mean_s * (1 + profile.on_duration_jitter)):
-                    raise InvalidScenarioError(f"long_on {mag} s must outlast a normal ON")
-                labels.append(GroundTruthLabel(start + t, start + t + on_d, sc.kind))
-            elif sc.kind == ScenarioKind.DOOR_OPEN:
-                on_d = snap(on_d * rng.uniform(2.0, 3.0))
-                labels.append(GroundTruthLabel(start + t, start + t + on_d, sc.kind))
-            else:  # POWER_DISRUPTION
+            if sc.kind == ScenarioKind.POWER_DISRUPTION:
                 off_d = snap(mag)
                 if off_d <= snap(profile.off_duration_mean_s * (1 + profile.off_duration_jitter)):
                     raise InvalidScenarioError(f"outage {mag} s must outlast a normal OFF")
                 labels.append(GroundTruthLabel(start + t + on_d, start + t + on_d + off_d, sc.kind))
+            else:
+                if sc.kind == ScenarioKind.THERMOSTAT_LONG_ON:
+                    on_d = snap(mag)
+                else:  # DOOR_OPEN
+                    on_d = snap(on_d * rng.uniform(2.0, 3.0))
+                if on_d <= snap(profile.on_duration_mean_s * (1 + profile.on_duration_jitter)):
+                    raise InvalidScenarioError(f"{sc.kind.value} ON of {on_d} s must outlast a normal ON")
+                labels.append(GroundTruthLabel(start + t, start + t + on_d, sc.kind))
+            if labels[-1].window_end_s > start + duration_s:
+                raise InvalidScenarioError(f"fault at {sc.start_s} s runs past the end of the trace")
         level = rng.uniform(profile.on_rms_min_amps, profile.on_rms_max_amps)
         cycles.append((on_d, level, off_d))
         t += on_d + off_d

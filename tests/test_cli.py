@@ -242,6 +242,8 @@ def test_simulate_rejects_non_finite_input(tmp_path, monkeypatch, flags, code):
     ["outage:100:60"],  # shorter than a normal OFF
     ["long_on:100:1e300"],  # longer than the trace
     ["door_open:83400", "door_open:84900"],  # no cycle left for the second
+    ["long_on:83400"],  # the 5 h ON runs past the end of the trace
+    ["outage:84000:6000"],  # the outage runs past the end of the trace
 ])
 def test_simulate_refuses_a_scenario_it_cannot_place(tmp_path, capsys, scenarios):
     flags = [arg for sc in scenarios for arg in ("--scenario", sc)]
@@ -368,6 +370,14 @@ def test_profile_command(workspace, capsys):
     out = capsys.readouterr().out
     assert "10 statistical values" in out
     assert "median" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_profile_refuses_bad_trials_before_training(monkeypatch, capsys, trials):
+    monkeypatch.setattr(cli, "run_pipeline", None)  # training would raise TypeError
+    assert main(["profile", "--trials", trials]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--trials" in err
 
 
 class TestExitCodes:

@@ -276,10 +276,14 @@ def test_monitor_step_matches_reference(records, training_cycles, threshold, pre
 def test_tracker_state_is_the_classify_state_fold(records):
     tracker = CycleTracker()
     state = CompressorState.OFF
-    for record in records:
+    for i, record in enumerate(records):
         tracker.ingest(record)
-        state = classify_state(record.rms_amps, state, tracker.thresholds)
+        prev, state = state, classify_state(record.rms_amps, state, tracker.thresholds)
         assert tracker.state is state
+        if state is CompressorState.OFF:
+            if i == 0 or prev is CompressorState.ON:
+                off_run_start = record.timestamp_s
+            assert tracker.off_since_s == off_run_start
 
 
 @given(

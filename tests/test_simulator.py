@@ -245,6 +245,29 @@ def test_fault_must_outlast_the_longest_normal_segment(kind, normal_max):
     assert [(l.kind, l.window_end_s - l.window_start_s) for l in labels] == [(kind, normal_max + 30)]
 
 
+def test_door_open_must_outlast_the_longest_normal_on():
+    # a normal ON of this profile lasts up to 1800 s * 1.9 = 3,420 s; seed 274
+    # stretches the door's ON to exactly that, seed 82 to one interval more
+    profile = ApplianceProfile(on_duration_jitter=0.9)
+    door = [AnomalyScenario(ScenarioKind.DOOR_OPEN, 100.0)]
+    with pytest.raises(InvalidScenarioError, match="ON of 3420 s must outlast"):
+        iter_trace(profile, door, DAY, seed=274)
+    _, labels = iter_trace(profile, door, DAY, seed=82)
+    assert [(l.kind, l.window_end_s - l.window_start_s) for l in labels] == [
+        (ScenarioKind.DOOR_OPEN, 3450)]
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_fault_must_end_within_the_trace(kind):
+    scenario = [AnomalyScenario(kind, 30_000.0)]
+    _, (label,) = iter_trace(ApplianceProfile(), scenario, 2 * DAY, seed=0)
+    # the same plan, cut where the label ends, or one second earlier
+    end_s = label.window_end_s - simulator.DEFAULT_START_TIMESTAMP_S
+    assert iter_trace(ApplianceProfile(), scenario, end_s, seed=0)[1] == [label]
+    with pytest.raises(InvalidScenarioError, match="past the end of the trace"):
+        iter_trace(ApplianceProfile(), scenario, end_s - 1, seed=0)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_scenario_behind_a_fault_in_the_last_cycle_is_refused(seed):
     # the first door event stretches the last planned cycle past the trace end
