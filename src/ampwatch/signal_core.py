@@ -1,7 +1,12 @@
 """Raw-sample front end: ADC count conversion and block RMS.
 
 The rest of the pipeline works in amperes; converting ADC counts is an
-optional ingestion step for setups that log raw counts.
+optional ingestion step for setups that log raw counts.  Each AdcParams
+converts all of its resolution_counts + 1 counts once, when it is built
+(about 126 KiB of floats at 12 bits; at most 16-bit resolution), so
+adc_to_amps is a bound check and an index and takes integer counts only.
+That table is host-side ingestion state, not detector state: the
+Monitor's fixed memory does not include it.
 """
 
 import math
@@ -25,12 +30,20 @@ class AdcParams:
     sensitivity_volts_per_amp: float = 0.1
 
     def __post_init__(self):
-        if self.resolution_counts <= 0:
-            raise InvalidInputError("resolution_counts must be positive")
-        if self.sensitivity_volts_per_amp <= 0:
-            raise InvalidInputError("sensitivity must be positive")
+        res = self.resolution_counts
+        if type(res) is bool or not isinstance(res, int) or not 1 <= res <= 65535:
+            raise InvalidInputError("resolution_counts must be an int in [1, 65535]")
+        if not 0 < self.vref_volts < math.inf:
+            raise InvalidInputError("vref must be finite and positive")
+        if not 0 < self.sensitivity_volts_per_amp < math.inf:
+            raise InvalidInputError("sensitivity must be finite and positive")
         if not 0 <= self.midrail_volts <= self.vref_volts:
             raise InvalidInputError("midrail must lie within [0, vref]")
+        # every count's current, by the sensor's linear model; not a field,
+        # so ==, hash, repr and asdict see only the four parameters
+        vref, mid, sens = self.vref_volts, self.midrail_volts, self.sensitivity_volts_per_amp
+        object.__setattr__(
+            self, "_amps", tuple(((c / res) * vref - mid) / sens for c in range(res + 1)))
 
 
 @dataclass(frozen=True)
@@ -43,8 +56,8 @@ class SampleBlock:
     def __post_init__(self):
         if len(self.samples) == 0:
             raise InvalidInputError("sample block must not be empty")
-        if self.sample_rate_hz <= 0:
-            raise InvalidInputError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise InvalidInputError("sample_rate_hz must be finite and positive")
         if not all(map(math.isfinite, self.samples)):
             raise InvalidInputError("sample block contains non-finite value")
 
@@ -90,9 +103,11 @@ def compute_rms(block: SampleBlock) -> float:
 
 def adc_to_amps(count: int, params: AdcParams) -> float:
     """Convert a raw ADC count to amperes through the sensor's linear model."""
-    if not 0 <= count <= params.resolution_counts:
-        raise InvalidInputError(
-            f"ADC count {count} outside [0, {params.resolution_counts}]"
-        )
-    volts = (count / params.resolution_counts) * params.vref_volts
-    return (volts - params.midrail_volts) / params.sensitivity_volts_per_amp
+    try:
+        if count >= 0:
+            return params._amps[count]
+    except (IndexError, TypeError):
+        pass
+    raise InvalidInputError(
+        f"ADC count {count!r} is not an integer in [0, {params.resolution_counts}]"
+    )

@@ -1,5 +1,8 @@
+import dataclasses
+import hashlib
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -38,6 +41,11 @@ class TestComputeRms:
     def test_empty_block_rejected(self):
         with pytest.raises(InvalidInputError):
             SampleBlock(samples=(), sample_rate_hz=6000.0)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_bad_sample_rate_rejected(self, rate):
+        with pytest.raises(InvalidInputError):
+            block([0.1, 0.2], rate=rate)
 
     def test_non_finite_sample_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -88,11 +96,10 @@ class TestAdcToAmps:
     def test_zero_count(self):
         assert adc_to_amps(0, self.params) == pytest.approx(-16.5, rel=1e-12)
 
-    def test_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            adc_to_amps(-1, self.params)
-        with pytest.raises(InvalidInputError):
-            adc_to_amps(4096, self.params)
+    @pytest.mark.parametrize("count", [-1, 4096, 10**20, -0.5, 0.5, 2.5, 4094.9, float("nan"), "7", None])
+    def test_out_of_range(self, count):
+        with pytest.raises(InvalidInputError, match=r"ADC count .* \[0, 4095\]"):
+            adc_to_amps(count, self.params)
 
     def test_affine_strictly_increasing(self):
         vals = [adc_to_amps(c, self.params) for c in range(0, 4096, 17)]
@@ -101,13 +108,61 @@ class TestAdcToAmps:
         # affine: all first differences equal
         assert all(d == pytest.approx(diffs[0], rel=1e-9) for d in diffs)
 
-    def test_param_validation(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"resolution_counts": 0},
+        {"resolution_counts": -1},
+        {"resolution_counts": 65536},
+        {"resolution_counts": 4095.5},
+        {"resolution_counts": 4095.0},
+        {"resolution_counts": "4095"},
+        {"resolution_counts": True},
+        {"sensitivity_volts_per_amp": 0},
+        {"sensitivity_volts_per_amp": float("nan")},
+        {"sensitivity_volts_per_amp": float("inf")},
+        {"vref_volts": float("inf")},
+        {"vref_volts": float("nan")},
+        {"vref_volts": 0.0, "midrail_volts": 0.0},
+        {"midrail_volts": 4.0},
+    ])
+    def test_param_validation(self, kwargs):
         with pytest.raises(InvalidInputError):
-            AdcParams(resolution_counts=0)
-        with pytest.raises(InvalidInputError):
-            AdcParams(sensitivity_volts_per_amp=0)
-        with pytest.raises(InvalidInputError):
-            AdcParams(midrail_volts=4.0)
+            AdcParams(**kwargs)
+
+    def test_integer_kinds_accepted(self):
+        assert adc_to_amps(True, self.params) == adc_to_amps(1, self.params)
+        assert adc_to_amps(False, self.params) == adc_to_amps(0, self.params)
+        for kind in (np.int16, np.int64, np.uint16):
+            assert adc_to_amps(kind(2048), self.params) == adc_to_amps(2048, self.params)
+
+    def test_default_values_pinned(self):
+        # sha256 of the 4,096 default-parameter currents as little-endian doubles
+        p = AdcParams()
+        packed = b"".join(struct.pack("<d", adc_to_amps(c, p)) for c in range(4096))
+        assert hashlib.sha256(packed).hexdigest() == (
+            "e8f3e00b6501c42273e4f504041c4a9bb69576f50c1b343e48a2cd3af0c1ea42")
+
+    def test_value_semantics_are_the_four_fields(self):
+        a, b = AdcParams(), AdcParams(4095, 3.3, 1.65, 0.1)
+        assert a == b and hash(a) == hash(b)
+        assert a != AdcParams(resolution_counts=1023)
+        assert repr(a) == ("AdcParams(resolution_counts=4095, vref_volts=3.3, "
+                           "midrail_volts=1.65, sensitivity_volts_per_amp=0.1)")
+        assert dataclasses.asdict(a) == {"resolution_counts": 4095, "vref_volts": 3.3,
+                                         "midrail_volts": 1.65, "sensitivity_volts_per_amp": 0.1}
+
+    @given(st.data(), st.integers(1, 65535), st.floats(1e-6, 1e6), st.floats(1e-9, 1e9))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_linear_model(self, data, res, vref, sens):
+        mid = data.draw(st.floats(0, vref), label="mid")
+        p = AdcParams(res, vref, mid, sens)
+        for c in data.draw(st.lists(st.integers(0, res), max_size=20), label="counts"):
+            assert adc_to_amps(c, p).hex() == (((c / res) * vref - mid) / sens).hex()
+
+    @pytest.mark.parametrize("res", [1, 1023, 65535])
+    def test_every_count_matches_linear_model(self, res):
+        p = AdcParams(resolution_counts=res)
+        for c in range(res + 1):
+            assert adc_to_amps(c, p).hex() == (((c / res) * 3.3 - 1.65) / 0.1).hex()
 
 
 def test_rms_record_validation():
