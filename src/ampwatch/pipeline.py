@@ -9,7 +9,6 @@ z-score detections.
 """
 
 import math
-import statistics
 import time
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, List, Optional, Tuple
@@ -195,11 +194,12 @@ def profile_inference(params: ModelParams, threshold: float = DEFAULT_THRESHOLD,
             detect(detector, score(params, probe).composite)
         means.append((time.perf_counter() - t0) / len(calls))
     means.sort()
+    n = len(means)
     return {
         "n_trials": n_trials,
         "min_s": means[0],
-        "median_s": statistics.median(means),
-        "p99_s": means[int(0.99 * (len(means) - 1))],
+        "median_s": (means[(n - 1) // 2] + means[n // 2]) / 2,
+        "p99_s": means[int(0.99 * (n - 1))],
         "stat_values": len(params.mean) + len(params.std),
         "counters": 1,
         "trained_on": params.trained_on,

@@ -62,17 +62,19 @@ class SampleBlock:
             raise InvalidInputError("sample block contains non-finite value")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class RmsRecord:
     """Timestamped RMS value; the pipeline's unit of streaming data."""
 
     timestamp_s: int
     rms_amps: float
 
-    def __post_init__(self):
+    def __init__(self, timestamp_s: int, rms_amps: float):
         # one chained compare: rejects negatives, inf and NaN
-        if not 0 <= self.rms_amps < math.inf:
+        if not 0 <= rms_amps < math.inf:
             raise InvalidInputError("rms_amps must be finite and non-negative")
+        self.timestamp_s = timestamp_s
+        self.rms_amps = rms_amps
 
 
 def compute_rms(block: SampleBlock) -> float:

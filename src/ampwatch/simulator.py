@@ -119,8 +119,9 @@ def _validate_scenarios(scenarios: Sequence[AnomalyScenario], duration_s: float)
     return ordered
 
 
-def _plan_segments(profile, scenarios, duration_s, rng, start):
-    """Back-to-back (on_s, level, off_s) cycles on the record-interval lattice, and labels."""
+def _plan_segments(profile, scenarios, duration_s, rng, start, labels):
+    """Yield back-to-back (on_s, level, off_s) cycles on the record-interval
+    lattice, appending each fault's label to ``labels`` as it is placed."""
     iv = profile.record_interval_s
 
     def snap(x):
@@ -130,8 +131,6 @@ def _plan_segments(profile, scenarios, duration_s, rng, start):
         return snap(rng.uniform(mean * (1 - jitter), mean * (1 + jitter)))
 
     pending = list(scenarios)
-    cycles = []
-    labels = []
     t = 0
     while t < duration_s:
         on_d = draw(profile.on_duration_mean_s, profile.on_duration_jitter)
@@ -155,11 +154,10 @@ def _plan_segments(profile, scenarios, duration_s, rng, start):
             if labels[-1].window_end_s > start + duration_s:
                 raise InvalidScenarioError(f"fault at {sc.start_s} s runs past the end of the trace")
         level = rng.uniform(profile.on_rms_min_amps, profile.on_rms_max_amps)
-        cycles.append((on_d, level, off_d))
+        yield on_d, level, off_d
         t += on_d + off_d
     if pending:
         raise InvalidScenarioError(f"scenario at {pending[0].start_s} s finds no free cycle")
-    return cycles, labels
 
 
 def iter_trace(
@@ -171,14 +169,18 @@ def iter_trace(
 ) -> Tuple[Iterator[List[RmsRecord]], List[GroundTruthLabel]]:
     """A generator of one record list per planned segment, and the labels.
 
-    Input is checked and all segments planned before this returns: the
-    plan's uniform draws precede the first noise draw in the stream.
+    The planner runs twice from the seed: here, to check the input, place
+    every fault and leave ``rng`` where the noise draws begin; then again,
+    one cycle at a time as the segments are sampled, so no plan is held.
     """
     if not 0 <= duration_s < math.inf:
         raise InvalidInputError("duration_s must be finite and non-negative")
     ordered = _validate_scenarios(scenarios, duration_s)
-    rng = DeterministicRng(seed)
-    cycles, labels = _plan_segments(profile, ordered, duration_s, rng, start_timestamp_s)
+    rng, labels = DeterministicRng(seed), []
+    for _ in _plan_segments(profile, ordered, duration_s, rng, start_timestamp_s, labels):
+        pass
+    cycles = _plan_segments(profile, ordered, duration_s, DeterministicRng(seed),
+                            start_timestamp_s, [])
     return _sample_segments(profile, cycles, duration_s, rng, start_timestamp_s), labels
 
 

@@ -1,11 +1,13 @@
 import argparse
 import dataclasses
+import gc
 import hashlib
 import io
 import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +279,7 @@ def test_simulate_takes_exactly_one_duration_flag(tmp_path, capsys, flags):
 
 def test_simulate_memory_does_not_grow_with_trace_length(tmp_path):
     def simulate_peak(days):
+        gc.collect()  # empties the free lists, whose reuse tracemalloc does not see
         tracemalloc.start()
         try:
             assert main(["simulate", "--duration-days", str(days), "--seed", "2",
@@ -289,6 +292,18 @@ def test_simulate_memory_does_not_grow_with_trace_length(tmp_path):
     short, long = simulate_peak(2), simulate_peak(20)
     assert long < 2**20
     assert long < 2 * short
+    # no per-cycle plan is held: ten times the trace, the same peak
+    assert simulate_peak(140) <= 1.1 * simulate_peak(14)
+
+
+def test_cli_import_leaves_out_the_numeric_tower():
+    # statistics pulls in decimal and fractions, ~12 ms of every CLI start
+    src = str(Path(cli.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ampwatch.cli; "
+            "print(sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-I", "-c", code, src],
+                       capture_output=True, text=True, check=True)
+    assert r.stdout.strip() == "[]"
 
 
 def test_run_memory_does_not_grow_with_trace_length(tmp_path):

@@ -1,7 +1,11 @@
+import gc
 import io
+import math
+import os
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ampwatch.errors import InvalidInputError, LogParseError
@@ -109,6 +113,81 @@ def test_round_trip_identity(rec):
     assert parse_record(serialize_record(rec)) == rec
 
 
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(
+    ts=st.integers(0, 2**40),
+    rms=st.floats(-10, 1e6) | NON_FINITE,
+    z=st.none() | st.floats(-1e6, 1e6) | NON_FINITE,
+    flag=st.sampled_from([0, 1, True, False, 0.0, 1.0, -0.0, 2, -1, 0.5, math.nan, "1", None]),
+    kind=st.sampled_from(list(EventKind) + ["none", "zscore", "watchdog", "ZSCORE", "gap",
+                                            "", None, 1, ("zscore",), ["zscore"], {}]),
+)
+@example(ts=1, rms=0.5, z=None, flag=True, kind=EventKind.ZSCORE)  # was written as "True"
+@example(ts=1, rms=0.5, z=-0.0, flag=1.0, kind="watchdog")  # was written as "1.0"
+@example(ts=1, rms=0.5, z=None, flag=1, kind="bogus")  # was accepted, then unwritable
+@example(ts=1, rms=0.5, z=math.nan, flag=0, kind=EventKind.NONE)  # was written as "nan"
+@settings(max_examples=500)
+def test_constructor_accepts_exactly_what_round_trips(ts, rms, z, flag, kind):
+    valid_kind = isinstance(kind, str) and kind in ("none", "zscore", "watchdog")
+    valid = (valid_kind and flag == (kind != "none")
+             and 0 <= rms < math.inf and (z is None or math.isfinite(z)))
+    if not valid:
+        with pytest.raises(InvalidInputError):
+            LogRecord(ts, rms, z, flag, kind)
+        return
+    rec = LogRecord(ts, rms, z, flag, kind)
+    assert rec.event_kind is EventKind(kind)
+    assert type(rec.anomaly_flag) is int and rec.anomaly_flag == flag
+    line = serialize_record(rec)
+    back = parse_record(line)
+    assert serialize_record(back) == line
+    assert (back.timestamp_s, back.anomaly_flag, back.event_kind) == (
+        ts, rec.anomaly_flag, rec.event_kind)
+
+
+def _records_with_z(steps):
+    """One record per step; "same" repeats the previous z object, "copy"
+    repeats its value in a new float, anything else is the next z."""
+    z, records = None, []
+    for i, step in enumerate(steps):
+        if step == "copy":
+            z = None if z is None else float(repr(z))
+        elif step != "same":
+            z = step
+        records.append(LogRecord(i, 0.07, z, 0, EventKind.NONE))
+    return records
+
+
+@given(st.lists(st.sampled_from(["same", "copy", None, 0.0, -0.0]) | st.floats(-1e3, 1e3)))
+@example([0.0, -0.0, "copy", "same", None, 0.5, "copy", None])
+@example([-0.0, "copy", 0.0, "same", -0.0])
+@settings(max_examples=300)
+def test_write_log_lines_are_serialize_record(steps):
+    records = _records_with_z(steps)
+    buf = io.StringIO()
+    assert write_log(records, buf) == len(records)
+    assert buf.getvalue().splitlines() == [LOG_HEADER] + [serialize_record(r) for r in records]
+
+
+def test_write_log_memory_does_not_grow_with_record_count():
+    def peak(n):
+        # a new composite object every 150 records, as cycle closes give
+        records = (LogRecord(i, 0.87, None if i < 1500 else float(i // 150), 0, EventKind.NONE)
+                   for i in range(n))
+        with open(os.devnull, "w") as sink:
+            gc.collect()  # empties the free lists, whose reuse tracemalloc does not see
+            tracemalloc.start()
+            try:
+                write_log(records, sink)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert peak(40_000) <= peak(4_000) + 1024
+
+
 def test_file_round_trip_with_header():
     records = [
         LogRecord(100, 0.07, None, 0, EventKind.NONE),
@@ -146,6 +225,17 @@ def test_event_invariants():
         AnomalyEvent(EventKind.WATCHDOG, 1000, 2.0, 0, 500, 1000)
     with pytest.raises(InvalidInputError):
         AnomalyEvent(EventKind.ZSCORE, 400, 2.0, 0, 500, 1000)
+    for kind in ("none", "bogus", None, ["zscore"]):
+        with pytest.raises(InvalidInputError):
+            AnomalyEvent(kind, 1000, None, 0, 500, 1000)
+
+
+def test_event_kind_given_as_text_is_the_member():
+    event = AnomalyEvent("zscore", 10, 3.0, 1, 5, 10)
+    assert event.kind is EventKind.ZSCORE
+    buf = io.StringIO()
+    write_events([event], buf)
+    assert read_events(io.StringIO(buf.getvalue())) == [event]
 
 
 EVENTS_FILE = EVENTS_HEADER + "\n1000,zscore,3.1234,1,500,1000\n"

@@ -130,7 +130,7 @@ def reference_trace(profile, scenarios, duration_s, seed, start):
     """(timestamp, rms.hex()) pairs drawn one record at a time, and the
     number of planned segments."""
     rng = DeterministicRng(seed)
-    cycles, _ = simulator._plan_segments(profile, scenarios, duration_s, rng, start)
+    cycles = list(simulator._plan_segments(profile, scenarios, duration_s, rng, start, []))
     segments, t = [], 0
     for on_s, level, off_s in cycles:
         segments += [(t, on_s, level), (t + on_s, off_s, profile.off_rms_amps)]
