@@ -6,7 +6,12 @@ class AmpwatchError(Exception):
 
 
 class InvalidInputError(AmpwatchError, ValueError):
-    """An operation received a value outside its documented domain."""
+    """An operation received a value outside its documented domain;
+    ``column`` is the log column of a refused ``LogRecord`` value."""
+
+    def __init__(self, message, column=None):
+        self.column = column
+        super().__init__(message)
 
 
 class StreamOrderError(AmpwatchError):

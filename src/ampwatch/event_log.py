@@ -31,6 +31,7 @@ _KINDS = {kind: kind for kind in EventKind}
 # Enum members read once here: through the class, each read costs ~0.15 us
 _NONE = EventKind.NONE
 _isfinite = math.isfinite
+_FLAGS = {"0": 0, "1": 1}
 
 
 @dataclass(slots=True, init=False)
@@ -45,17 +46,20 @@ class LogRecord:
     event_kind: EventKind
 
     def __init__(self, timestamp_s, rms_amps, composite_z, anomaly_flag, event_kind):
+        # in column order, but the kind (5) before the flag (4) that must match it
+        if type(timestamp_s) is not int:
+            raise InvalidInputError(f"timestamp_s must be an int, got {timestamp_s!r}", 1)
+        if not 0 <= rms_amps < math.inf:
+            raise InvalidInputError("rms_amps must be finite and non-negative", 2)
+        if composite_z is not None and not _isfinite(composite_z):
+            raise InvalidInputError("composite_z must be None or finite", 3)
         try:
             kind = _KINDS[event_kind]
         except (KeyError, TypeError):
-            raise InvalidInputError(f"unknown event_kind {event_kind!r}") from None
+            raise InvalidInputError(f"unknown event_kind {event_kind!r}", 5) from None
         flag = 0 if kind is _NONE else 1
         if anomaly_flag != flag:
-            raise InvalidInputError("anomaly_flag must be 1 iff event_kind != none")
-        if not 0 <= rms_amps < math.inf:
-            raise InvalidInputError("rms_amps must be finite and non-negative")
-        if composite_z is not None and not _isfinite(composite_z):
-            raise InvalidInputError("composite_z must be None or finite")
+            raise InvalidInputError("anomaly_flag must be 1 iff event_kind != none", 4)
         self.timestamp_s = timestamp_s
         self.rms_amps = rms_amps
         self.composite_z = composite_z
@@ -84,6 +88,11 @@ class AnomalyEvent:
             raise InvalidInputError("an anomaly event must have a non-none kind")
         if (self.composite is not None) != (kind is EventKind.ZSCORE):
             raise InvalidInputError("composite present iff kind is zscore")
+        if self.composite is not None and not _isfinite(self.composite):
+            raise InvalidInputError(f"composite must be finite, got {self.composite!r}")
+        ints = (self.detected_at_s, self.streak, self.cycle_start_s, self.cycle_end_s)
+        if any(type(v) is not int for v in ints):
+            raise InvalidInputError(f"event times and streak must be ints, got {ints!r}")
         if self.detected_at_s < self.cycle_start_s:
             raise InvalidInputError("detected_at_s must be >= cycle_start_s")
 
@@ -103,9 +112,13 @@ def parse_record(line: str, line_number: Optional[int] = None) -> LogRecord:
     """Inverse of serialize_record; raises LogParseError with position info."""
     fields = line.rstrip("\n").split(",")
     if len(fields) != 5:
-        raise LogParseError(
-            f"expected 5 columns, got {len(fields)}", line_number
-        )
+        raise LogParseError(f"expected 5 columns, got {len(fields)}", line_number)
+    return _to_record(fields, line_number)
+
+
+def _to_record(fields: List[str], line_number: Optional[int]) -> LogRecord:
+    """Convert one row's five fields; LogRecord checks the values.  Either
+    failure is a LogParseError at the column it names."""
     ts_s, rms_s, z_s, flag_s, kind_s = fields
     try:
         ts = int(ts_s)
@@ -115,28 +128,17 @@ def parse_record(line: str, line_number: Optional[int] = None) -> LogRecord:
         rms = float(rms_s)
     except ValueError:
         raise LogParseError(f"bad rms {rms_s!r}", line_number, 2) from None
-    if not 0 <= rms < math.inf:
-        raise LogParseError("rms must be finite and non-negative", line_number, 2)
-    if z_s == "":
-        z = None
-    else:
-        try:
-            z = float(z_s)
-        except ValueError:
-            raise LogParseError(f"bad zscore {z_s!r}", line_number, 3) from None
-        if not -math.inf < z < math.inf:
-            raise LogParseError(f"zscore must be finite, got {z_s!r}", line_number, 3)
-    if flag_s not in ("0", "1"):
+    try:
+        z = None if z_s == "" else float(z_s)
+    except ValueError:
+        raise LogParseError(f"bad zscore {z_s!r}", line_number, 3) from None
+    flag = _FLAGS.get(flag_s)
+    if flag is None:
         raise LogParseError(f"bad flag {flag_s!r}", line_number, 4)
-    flag = 1 if flag_s == "1" else 0
-    kind = _KINDS.get(kind_s)
-    if kind is None:
-        raise LogParseError(f"bad kind {kind_s!r}", line_number, 5)
-    if (flag == 1) != (kind_s != "none"):
-        raise LogParseError(
-            f"flag {flag} inconsistent with kind {kind_s!r}", line_number, 4
-        )
-    return LogRecord(ts, rms, z, flag, kind)
+    try:
+        return LogRecord(ts, rms, z, flag, kind_s)
+    except InvalidInputError as exc:
+        raise LogParseError(str(exc), line_number, exc.column) from None
 
 
 def write_log(records: Iterable[LogRecord], fh: TextIO) -> int:
@@ -159,22 +161,14 @@ def write_log(records: Iterable[LogRecord], fh: TextIO) -> int:
 
 
 def iter_log(fh: TextIO) -> Iterator[LogRecord]:
-    """Parse a log file line by line; tolerates a present or absent header.
-
-    Non-increasing timestamps are rejected.
+    """Parse a log file's ``iter_rows`` into records; non-increasing
+    timestamps are rejected.
     """
-    last_ts = None
-    for i, line in enumerate(fh, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if i == 1 and line == LOG_HEADER:
-            continue
-        rec = parse_record(line, line_number=i)
-        if last_ts is not None and rec.timestamp_s <= last_ts:
-            raise LogParseError(
-                f"timestamp {rec.timestamp_s} not after {last_ts}", i, 1
-            )
+    last_ts = -math.inf
+    for i, fields in iter_rows(fh, LOG_HEADER):
+        rec = _to_record(fields, i)
+        if rec.timestamp_s <= last_ts:
+            raise LogParseError(f"timestamp {rec.timestamp_s} not after {last_ts}", i, 1)
         last_ts = rec.timestamp_s
         yield rec
 

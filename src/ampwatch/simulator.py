@@ -98,6 +98,8 @@ class GroundTruthLabel:
     kind: ScenarioKind
 
     def __post_init__(self):
+        if type(self.window_start_s) is not int or type(self.window_end_s) is not int:
+            raise InvalidInputError("label window bounds must be ints")
         if self.window_end_s <= self.window_start_s:
             raise InvalidInputError("label window must have positive length")
 
@@ -175,6 +177,8 @@ def iter_trace(
     """
     if not 0 <= duration_s < math.inf:
         raise InvalidInputError("duration_s must be finite and non-negative")
+    if type(start_timestamp_s) is not int:
+        raise InvalidInputError("start_timestamp_s must be an int")
     ordered = _validate_scenarios(scenarios, duration_s)
     rng, labels = DeterministicRng(seed), []
     for _ in _plan_segments(profile, ordered, duration_s, rng, start_timestamp_s, labels):

@@ -60,8 +60,8 @@ class ModelParams:
             raise InvalidInputError("model means and stds must be finite")
         if any(s <= 0 for s in self.std):
             raise InvalidInputError("finalized stds must be positive")
-        if self.trained_on < 2:
-            raise InvalidInputError("trained_on must be at least 2")
+        if type(self.trained_on) is not int or self.trained_on < 2:
+            raise InvalidInputError("trained_on must be an int of at least 2")
 
     def to_text(self) -> str:
         """Plain-text key-value block; floats use shortest round-trip repr."""

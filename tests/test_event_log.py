@@ -64,6 +64,10 @@ def test_parse_negative_rms():
     ("1700000000,0.8700,nan,0,none", 3),
     ("1700000000,0.8700,inf,0,none", 3),
     ("1700000000,0.8700,-inf,1,zscore", 3),
+    ("1700000000,0.8700,0.1200,1,none", 4),
+    ("1700000000,0.8700,0.1200,0,zscore", 4),
+    ("1700000000,0.8700,0.1200,1,gap", 5),
+    ("1700000000,-0.1000,,0,none", 2),
 ])
 def test_parse_rejects_non_finite_values_with_position(line, column):
     with pytest.raises(LogParseError) as exc:
@@ -114,10 +118,11 @@ def test_round_trip_identity(rec):
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NOT_INTS = st.sampled_from([1.5, 1.0, -0.0, True, False, None, "1", math.nan])
 
 
 @given(
-    ts=st.integers(0, 2**40),
+    ts=st.integers(0, 2**40) | NOT_INTS,
     rms=st.floats(-10, 1e6) | NON_FINITE,
     z=st.none() | st.floats(-1e6, 1e6) | NON_FINITE,
     flag=st.sampled_from([0, 1, True, False, 0.0, 1.0, -0.0, 2, -1, 0.5, math.nan, "1", None]),
@@ -128,10 +133,12 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 @example(ts=1, rms=0.5, z=-0.0, flag=1.0, kind="watchdog")  # was written as "1.0"
 @example(ts=1, rms=0.5, z=None, flag=1, kind="bogus")  # was accepted, then unwritable
 @example(ts=1, rms=0.5, z=math.nan, flag=0, kind=EventKind.NONE)  # was written as "nan"
+@example(ts=True, rms=0.5, z=None, flag=0, kind="none")  # was written as "True"
+@example(ts=1.0, rms=0.5, z=None, flag=0, kind="none")  # was written as "1.0"
 @settings(max_examples=500)
 def test_constructor_accepts_exactly_what_round_trips(ts, rms, z, flag, kind):
     valid_kind = isinstance(kind, str) and kind in ("none", "zscore", "watchdog")
-    valid = (valid_kind and flag == (kind != "none")
+    valid = (type(ts) is int and valid_kind and flag == (kind != "none")
              and 0 <= rms < math.inf and (z is None or math.isfinite(z)))
     if not valid:
         with pytest.raises(InvalidInputError):
@@ -230,6 +237,41 @@ def test_event_invariants():
             AnomalyEvent(kind, 1000, None, 0, 500, 1000)
 
 
+EVENT_INTS = st.integers(-2**40, 2**40) | NOT_INTS
+
+
+@given(
+    kind=st.sampled_from(list(EventKind) + ["zscore", "watchdog", "none", "gap"]),
+    detected=EVENT_INTS,
+    composite=st.none() | st.floats(-1e6, 1e6) | NON_FINITE,
+    streak=EVENT_INTS,
+    start=EVENT_INTS,
+    end=EVENT_INTS,
+)
+@example(kind="zscore", detected=10, composite=math.nan, streak=1, start=5, end=10)  # was written as "nan"
+@example(kind="zscore", detected=10, composite=3.0, streak=1.5, start=5, end=10)  # was written as "1.5"
+@settings(max_examples=500)
+def test_event_constructor_accepts_exactly_what_round_trips(
+        kind, detected, composite, streak, start, end):
+    ints = (detected, streak, start, end)
+    valid = (kind in ("zscore", "watchdog") and (composite is None) == (kind == "watchdog")
+             and (composite is None or math.isfinite(composite))
+             and all(type(t) is int for t in ints) and detected >= start)
+    if not valid:
+        with pytest.raises(InvalidInputError):
+            AnomalyEvent(kind, detected, composite, streak, start, end)
+        return
+    event = AnomalyEvent(kind, detected, composite, streak, start, end)
+    buf = io.StringIO()
+    write_events([event], buf)
+    (back,) = read_events(io.StringIO(buf.getvalue()))
+    assert (back.kind, back.detected_at_s, back.streak, back.cycle_start_s,
+            back.cycle_end_s) == (event.kind, *ints)
+    again = io.StringIO()
+    write_events([back], again)
+    assert again.getvalue() == buf.getvalue()
+
+
 def test_event_kind_given_as_text_is_the_member():
     event = AnomalyEvent("zscore", 10, 3.0, 1, 5, 10)
     assert event.kind is EventKind.ZSCORE
@@ -249,6 +291,8 @@ LABELS_FILE = LABELS_HEADER + "\n345600,363600,thermostat_long_on\n"
     (read_events, EVENTS_FILE + "9000.5,watchdog,,0,5000,9000\n", 3),
     (read_events, EVENTS_FILE + "9000,watchdog,,0,50x0,9000\n", 3),
     (read_events, EVENTS_FILE + "9000,watchdog,2.0000,0,5000,9000\n", 3),
+    (read_events, EVENTS_FILE + "9000,zscore,inf,1,5000,9000\n", 3),
+    (read_events, EVENTS_FILE + "9000,zscore,nan,1,5000,9000\n", 3),
     (read_events, EVENTS_FILE + "\n\n9000,none,,0,5000,9000\n", 5),
     (read_events, EVENTS_FILE + EVENTS_HEADER + "\n", 3),
     (read_labels, LABELS_FILE + "604800,605700\n", 3),

@@ -14,6 +14,7 @@ from ampwatch.signal_core import compute_rms
 from ampwatch.simulator import (
     AnomalyScenario,
     ApplianceProfile,
+    GroundTruthLabel,
     ScenarioKind,
     generate_trace,
     generate_waveform,
@@ -105,16 +106,29 @@ def test_scenario_magnitude_must_be_finite_and_positive(no_planner, kind, magnit
         generate_trace(ApplianceProfile(), [scenario], DAY, seed=0)
 
 
-@pytest.mark.parametrize("duration_s, scenarios", [
-    (math.nan, []),
-    (-1.0, []),
-    (DAY, [AnomalyScenario(ScenarioKind.DOOR_OPEN, 2 * DAY)]),
-    (DAY, [AnomalyScenario(ScenarioKind.THERMOSTAT_LONG_ON, 100.0, math.inf)]),
+START = simulator.DEFAULT_START_TIMESTAMP_S
+
+
+@pytest.mark.parametrize("duration_s, scenarios, start", [
+    (math.nan, [], START),
+    (-1.0, [], START),
+    (DAY, [AnomalyScenario(ScenarioKind.DOOR_OPEN, 2 * DAY)], START),
+    (DAY, [AnomalyScenario(ScenarioKind.THERMOSTAT_LONG_ON, 100.0, math.inf)], START),
+    (DAY, [], float(START)),
+    (DAY, [], START + 0.5),
+    (DAY, [], str(START)),
 ])
-def test_iter_trace_rejects_bad_input_when_called(no_planner, duration_s, scenarios):
+def test_iter_trace_rejects_bad_input_when_called(no_planner, duration_s, scenarios, start):
     # raised by the call itself, before the first segment is asked for
     with pytest.raises((InvalidInputError, InvalidScenarioError)):
-        iter_trace(ApplianceProfile(), scenarios, duration_s, seed=0)
+        iter_trace(ApplianceProfile(), scenarios, duration_s, seed=0, start_timestamp_s=start)
+
+
+@pytest.mark.parametrize("start, end", [(1.5, 2.5), (1.0, 2), (1, 2.0), (True, 2), ("1", "2")])
+def test_label_window_bounds_must_be_ints(start, end):
+    # (1.5, 2.5) was written as "1.5,2.5,door_open", which read_labels refused
+    with pytest.raises(InvalidInputError):
+        GroundTruthLabel(start, end, ScenarioKind.DOOR_OPEN)
 
 
 # one fault of each kind, as in the paper's scenario set, early enough

@@ -207,6 +207,12 @@ class TestSerialization:
         with pytest.raises(InvalidInputError):
             ModelParams(mean=(0.0,) * 5, std=(1.0, 1.0, 0.0, 1.0, 1.0), trained_on=5)
 
+    @pytest.mark.parametrize("trained_on", [50.0, 50.5, "50", None])
+    def test_non_int_trained_on_rejected(self, trained_on):
+        # 50.0 was saved as "trained_on=50.0", which load then refused
+        with pytest.raises(InvalidInputError):
+            ModelParams(mean=(0.0,) * 5, std=(1.0,) * 5, trained_on=trained_on)
+
     @pytest.mark.parametrize("key, value", [
         ("std.rms_std", "nan"),
         ("std.rms_std", "inf"),
