@@ -116,13 +116,11 @@ class CycleTracker:
         self.last_timestamp_s: Optional[int] = None
         # start of the current OFF streak: the first record or the last ON->OFF trigger
         self.off_since_s: Optional[int] = None
-        # interval of the most recently completed cycle
+        # start of the most recent ON cycle, open or just closed: set on ON entry
         self.last_cycle_start_s: Optional[int] = None
-        self.last_cycle_end_s: Optional[int] = None
         self._reset_cycle()
 
     def _reset_cycle(self):
-        self._cycle_start_s = None
         self._n = 0
         self._mean = 0.0
         self._m2 = 0.0
@@ -136,7 +134,7 @@ class CycleTracker:
     def _accumulate(self, record: RmsRecord):
         self._n += 1
         x = record.rms_amps
-        e = float(record.timestamp_s - self._cycle_start_s)
+        e = float(record.timestamp_s - self.last_cycle_start_s)
         delta_e = e - self._mean_e
         self._mean_e += delta_e / self._n
         delta = x - self._mean
@@ -150,7 +148,7 @@ class CycleTracker:
         n = self._n
         std = math.sqrt(self._m2 / n) if n > 0 else 0.0
         slope = self._ser / self._see if self._see > 0 else 0.0
-        duration = float(trigger.timestamp_s - self._cycle_start_s)
+        duration = float(trigger.timestamp_s - self.last_cycle_start_s)
         features = CycleFeatures(
             rms_last_amps=self._last_rms,
             rms_mean_amps=self._mean,
@@ -158,8 +156,6 @@ class CycleTracker:
             rms_slope_amps_per_s=slope,
             duration_on_s=duration,
         )
-        self.last_cycle_start_s = self._cycle_start_s
-        self.last_cycle_end_s = trigger.timestamp_s
         self.off_since_s = trigger.timestamp_s
         self._reset_cycle()
         return features
@@ -177,7 +173,7 @@ class CycleTracker:
         if self.state is _OFF:
             if record.rms_amps > self.thresholds.on_enter_amps:
                 self.state = _ON
-                self._cycle_start_s = ts
+                self.last_cycle_start_s = ts
                 self._accumulate(record)
             return None
         if record.rms_amps < self.thresholds.off_enter_amps:

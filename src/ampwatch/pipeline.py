@@ -11,7 +11,7 @@ z-score detections.
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional
 
 from .cycle_tracker import (
     CompressorState,
@@ -91,12 +91,6 @@ class Monitor:
         self.wd_fired = False
         self.last_composite: Optional[float] = None
 
-    def step(self, record: RmsRecord) -> Tuple[LogRecord, Optional[AnomalyEvent]]:
-        """One record through a one-record ``run``: ``(log_record, event or None)``."""
-        events: List[AnomalyEvent] = []
-        (log_record,) = self.run((record,), events)
-        return log_record, (events[0] if events else None)
-
     def run(self, records: Iterable[RmsRecord],
             events: List[AnomalyEvent]) -> Iterator[LogRecord]:
         """Feed ``records``, yielding each log record and appending each
@@ -106,7 +100,7 @@ class Monitor:
         A record either closes a cycle (``_close_cycle``) or may fire the
         watchdog on the tracker's ``off_since_s``, never both.  State is
         written back on every record, so a run may be left part-consumed
-        or mixed with ``step`` calls.
+        and the stream continued by another ``run``.
         """
         tracker, wd_config = self.tracker, self.wd_config
         ingest, off_limit_s = tracker.ingest, wd_config.off_limit_s
@@ -130,7 +124,8 @@ class Monitor:
 
     def _close_cycle(self, features: CycleFeatures, ts: int) -> Optional[AnomalyEvent]:
         """Train on, or score and detect, the cycle that record ``ts``
-        closed; the OFF streak that ``ts`` starts gets a fresh watchdog."""
+        closed, which began at the tracker's ``last_cycle_start_s``; the
+        OFF streak that ``ts`` starts gets a fresh watchdog."""
         self.wd_fired = False
         if self.model is None:
             train_update(self.stats, features)

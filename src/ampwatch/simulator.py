@@ -9,7 +9,9 @@ carry a fault and whose drawn span reaches past the scenario's start:
   magnitude (default 5 h), which must outlast the longest normal ON.
 - DoorOpen multiplies the drawn ON duration by a factor in [2, 3]
   (delayed transition to OFF after the door event); the stretched ON
-  too must outlast the longest normal ON.
+  too must outlast the longest normal ON.  Its magnitude changes neither
+  the trace nor the label: it is only range-checked, and it sets the
+  window that the overlap check uses.
 - PowerDisruption lets the ON segment complete, then forces OFF-level
   RMS for the scenario magnitude (default 2 h, beyond the watchdog
   limit), which must outlast the longest normal OFF.
@@ -40,6 +42,14 @@ class ScenarioKind(str, Enum):
     THERMOSTAT_LONG_ON = "thermostat_long_on"
     DOOR_OPEN = "door_open"
     POWER_DISRUPTION = "power_disruption"
+
+
+def _scenario_kind(kind, error) -> ScenarioKind:
+    """``kind`` as a ScenarioKind member (its text is accepted), or ``error``."""
+    try:
+        return ScenarioKind(kind)
+    except ValueError:
+        raise error(f"unknown scenario kind {kind!r}") from None
 
 
 DEFAULT_MAGNITUDES = {
@@ -85,6 +95,9 @@ class AnomalyScenario:
     start_s: float
     magnitude: Optional[float] = None  # kind-specific; None picks the default
 
+    def __post_init__(self):
+        object.__setattr__(self, "kind", _scenario_kind(self.kind, InvalidScenarioError))
+
     def magnitude_or_default(self) -> float:
         if self.magnitude is not None:
             return self.magnitude
@@ -98,6 +111,7 @@ class GroundTruthLabel:
     kind: ScenarioKind
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", _scenario_kind(self.kind, InvalidInputError))
         if type(self.window_start_s) is not int or type(self.window_end_s) is not int:
             raise InvalidInputError("label window bounds must be ints")
         if self.window_end_s <= self.window_start_s:
@@ -256,7 +270,7 @@ def read_labels(fh: TextIO) -> List[GroundTruthLabel]:
     for i, fields in iter_rows(fh, LABELS_HEADER):
         try:
             labels.append(
-                GroundTruthLabel(int(fields[0]), int(fields[1]), ScenarioKind(fields[2]))
+                GroundTruthLabel(int(fields[0]), int(fields[1]), fields[2])
             )
         except (ValueError, InvalidInputError) as exc:
             raise LogParseError(f"bad label line: {exc}", i) from None

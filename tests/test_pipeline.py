@@ -161,9 +161,9 @@ def test_profile_times_every_trial_in_batches():
 
 
 class ReferenceMonitor:
-    """Monitor.step as a plain reading of the spec: the tracker's branches
-    spelled out with classify_state, check_watchdog on every OFF record,
-    and a keyword-built LogRecord."""
+    """Monitor.run, one record at a time, as a plain reading of the spec:
+    the tracker's branches spelled out with classify_state, check_watchdog
+    on every OFF record, and a keyword-built LogRecord."""
 
     def __init__(self, config, model=None):
         self.config = config
@@ -181,7 +181,7 @@ class ReferenceMonitor:
         new = classify_state(record.rms_amps, prev, tracker.thresholds)
         tracker.state = new
         if prev == CompressorState.OFF and new == CompressorState.ON:
-            tracker._cycle_start_s = record.timestamp_s
+            tracker.last_cycle_start_s = record.timestamp_s
             tracker._accumulate(record)
         elif prev == CompressorState.ON and new == CompressorState.OFF:
             return tracker._finish_cycle(record)
@@ -207,7 +207,7 @@ class ReferenceMonitor:
                         composite=res.composite,
                         streak=self.detector.streak,
                         cycle_start_s=self.tracker.last_cycle_start_s,
-                        cycle_end_s=self.tracker.last_cycle_end_s,
+                        cycle_end_s=record.timestamp_s,
                     )
         if self.tracker.state == CompressorState.OFF:
             if self.off_since is None:
@@ -262,13 +262,16 @@ PRETRAINED = ModelParams(mean=(0.87, 0.87, 0.005, 0.0, 900.0),
     pretrained=st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_monitor_step_matches_reference(records, training_cycles, threshold, pretrained):
+def test_monitor_run_matches_reference(records, training_cycles, threshold, pretrained):
     config = PipelineConfig(training_cycles=training_cycles, z_threshold=threshold,
                             watchdog_off_limit_s=600)
     model = PRETRAINED if pretrained else None
-    monitor, reference = Monitor(config, model), ReferenceMonitor(config, model)
-    for record in records:
-        assert monitor.step(record) == reference.step(record)
+    reference = ReferenceMonitor(config, model)
+    stepped = [reference.step(record) for record in records]
+
+    events = []
+    assert list(Monitor(config, model).run(records, events)) == [log for log, _ in stepped]
+    assert events == [event for _, event in stepped if event is not None]
 
 
 @given(records=record_streams())
@@ -277,9 +280,15 @@ def test_tracker_state_is_the_classify_state_fold(records):
     tracker = CycleTracker()
     state = CompressorState.OFF
     for i, record in enumerate(records):
-        tracker.ingest(record)
+        features = tracker.ingest(record)
         prev, state = state, classify_state(record.rms_amps, state, tracker.thresholds)
         assert tracker.state is state
+        if state is CompressorState.ON:
+            if prev is CompressorState.OFF:
+                on_run_start = record.timestamp_s
+            assert tracker.last_cycle_start_s == on_run_start
+        if features is not None:
+            assert features.duration_on_s == record.timestamp_s - on_run_start
         if state is CompressorState.OFF:
             if i == 0 or prev is CompressorState.ON:
                 off_run_start = record.timestamp_s
@@ -294,27 +303,18 @@ def test_tracker_state_is_the_classify_state_fold(records):
     data=st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_monitor_run_matches_step(records, training_cycles, threshold, pretrained, data):
+def test_monitor_run_continues_where_it_stopped(records, training_cycles, threshold,
+                                                pretrained, data):
     config = PipelineConfig(training_cycles=training_cycles, z_threshold=threshold,
                             watchdog_off_limit_s=600)
     model = PRETRAINED if pretrained else None
-    stepper = Monitor(config, model)
-    stepped = [stepper.step(record) for record in records]
-    want_log = [log_record for log_record, _ in stepped]
-    want_events = [event for _, event in stepped if event is not None]
+    want_events = []
+    want_log = list(Monitor(config, model).run(records, want_events))
 
-    events = []
-    assert list(Monitor(config, model).run(records, events)) == want_log
-    assert events == want_events
-
-    # a run broken off after k records and continued with step
+    # a run broken off after k records and continued by a second run
     k = data.draw(st.integers(0, len(records)), label="k")
     monitor, events = Monitor(config, model), []
     log = list(itertools.islice(monitor.run(records, events), k))
-    for record in records[k:]:
-        log_record, event = monitor.step(record)
-        log.append(log_record)
-        if event is not None:
-            events.append(event)
+    log += monitor.run(records[k:], events)
     assert log == want_log
     assert events == want_events

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -131,6 +132,26 @@ def test_label_window_bounds_must_be_ints(start, end):
         GroundTruthLabel(start, end, ScenarioKind.DOOR_OPEN)
 
 
+@pytest.mark.parametrize("kind", ["bogus", "long_on", "zscore", None, 3])
+def test_label_kind_must_be_a_scenario_kind(kind):
+    with pytest.raises(InvalidInputError, match="kind"):
+        GroundTruthLabel(1, 2, kind)
+
+
+def test_label_kind_text_is_stored_as_the_member():
+    label = GroundTruthLabel(1, 2, "door_open")
+    assert label.kind is ScenarioKind.DOOR_OPEN
+    buf = io.StringIO()
+    simulator.write_labels([label], buf)
+    assert buf.getvalue() == simulator.LABELS_HEADER + "\n1,2,door_open\n"
+
+
+@pytest.mark.parametrize("kind", ["bogus", "long_on", None])
+def test_scenario_kind_must_be_a_scenario_kind(kind):
+    with pytest.raises(InvalidScenarioError, match="kind"):
+        AnomalyScenario(kind, 200_000.0, 900.0)
+
+
 # one fault of each kind, as in the paper's scenario set, early enough
 # for the shortest trace drawn with them
 FAULTS = [
@@ -138,6 +159,15 @@ FAULTS = [
     AnomalyScenario(ScenarioKind.DOOR_OPEN, 0.75 * DAY),
     AnomalyScenario(ScenarioKind.POWER_DISRUPTION, 1.25 * DAY),
 ]
+
+
+def test_scenario_kind_text_is_the_member():
+    text_faults = [AnomalyScenario(sc.kind.value, sc.start_s) for sc in FAULTS]
+    want_records, want_labels = generate_trace(ApplianceProfile(), FAULTS, 2 * DAY, seed=3)
+    records, labels = generate_trace(ApplianceProfile(), text_faults, 2 * DAY, seed=3)
+    assert records == want_records
+    assert labels == want_labels
+    assert all(lab.kind is sc.kind for lab, sc in zip(labels, FAULTS))
 
 
 def reference_trace(profile, scenarios, duration_s, seed, start):
