@@ -58,7 +58,9 @@ class SampleBlock:
             raise InvalidInputError("sample block must not be empty")
         if not 0 < self.sample_rate_hz < math.inf:
             raise InvalidInputError("sample_rate_hz must be finite and positive")
-        if not all(map(math.isfinite, self.samples)):
+        # an inf or NaN makes the sum non-finite, so the exact per-sample
+        # pass runs only then (finite samples can still overflow the sum)
+        if not math.isfinite(sum(self.samples, 0.0)) and not all(map(math.isfinite, self.samples)):
             raise InvalidInputError("sample block contains non-finite value")
 
 

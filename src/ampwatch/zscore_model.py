@@ -112,10 +112,8 @@ def finalize(stats: FeatureStats, sigma_min: float = DEFAULT_SIGMA_MIN) -> Model
         raise InsufficientTrainingError(
             f"need at least 2 training cycles, got {stats.count}"
         )
-    std = tuple(
-        max(math.sqrt(stats.m2[k] / stats.count), sigma_min)
-        for k in range(N_FEATURES)
-    )
+    std = tuple([max(math.sqrt(stats.m2[k] / stats.count), sigma_min)
+                 for k in range(N_FEATURES)])
     return ModelParams(mean=tuple(stats.mean), std=std, trained_on=stats.count)
 
 
@@ -126,10 +124,17 @@ class ScoreResult:
 
 
 def score(params: ModelParams, features: CycleFeatures) -> ScoreResult:
-    """Per-feature z-scores and their equal-weight absolute average."""
+    """Per-feature z-scores and their equal-weight absolute average.
+
+    The five |z| are added left to right, the order a C port must match;
+    sum() would not do, as it is compensated from Python 3.12 on.  Each
+    tuple is built at its exact size, so scoring leaves CPython's tuple
+    free lists as it found them and memory stays flat in closed cycles.
+    """
     vec = features.as_vector()
-    z = tuple((vec[k] - params.mean[k]) / params.std[k] for k in range(N_FEATURES))
-    composite = sum(abs(v) for v in z) / N_FEATURES
+    z = tuple([(x - m) / s for x, m, s in zip(vec, params.mean, params.std)])
+    z0, z1, z2, z3, z4 = z
+    composite = (abs(z0) + abs(z1) + abs(z2) + abs(z3) + abs(z4)) / N_FEATURES
     return ScoreResult(z=z, composite=composite)
 
 

@@ -278,13 +278,13 @@ def test_simulate_takes_exactly_one_duration_flag(tmp_path, capsys, flags):
 
 
 def test_simulate_memory_does_not_grow_with_trace_length(tmp_path):
-    def simulate_peak(days):
+    def simulate_peak(days, *flags):
         gc.collect()  # empties the free lists, whose reuse tracemalloc does not see
         tracemalloc.start()
         try:
             assert main(["simulate", "--duration-days", str(days), "--seed", "2",
                          "--out", str(tmp_path / "trace.csv"),
-                         "--labels", str(tmp_path / "labels.csv")]) == 0
+                         "--labels", str(tmp_path / "labels.csv"), *flags]) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -292,8 +292,10 @@ def test_simulate_memory_does_not_grow_with_trace_length(tmp_path):
     short, long = simulate_peak(2), simulate_peak(20)
     assert long < 2**20
     assert long < 2 * short
-    # no per-cycle plan is held: ten times the trace, the same peak
-    assert simulate_peak(140) <= 1.1 * simulate_peak(14)
+    # no per-cycle plan is held: ten times the cycles, the same peak; a plan
+    # grows with cycles, not records, so sparse records keep this pair quick
+    sparse = ["--interval", "300"]
+    assert simulate_peak(140, *sparse) <= 1.1 * simulate_peak(14, *sparse)
 
 
 def test_cli_import_leaves_out_the_numeric_tower():
@@ -311,6 +313,7 @@ def test_run_memory_does_not_grow_with_trace_length(tmp_path):
         trace = tmp_path / f"trace{days}.csv"
         assert main(["simulate", "--duration-days", str(days), "--seed", "2",
                      "--out", str(trace), "--labels", str(tmp_path / "labels.csv")]) == 0
+        gc.collect()
         tracemalloc.start()
         try:
             assert main(["run", "--trace", str(trace), "--log", str(tmp_path / "log.csv"),
@@ -323,6 +326,33 @@ def test_run_memory_does_not_grow_with_trace_length(tmp_path):
     short, long = run_peak(2), run_peak(20)
     assert long < 2**20
     assert long < 2 * short
+
+
+def test_replay_memory_does_not_grow_with_closed_cycles(tmp_path):
+    # a fast-cycling appliance closes ~12 times as many cycles per record,
+    # so memory held per scored cycle shows at 14 days against 2
+    profile = simulator.ApplianceProfile(on_duration_mean_s=150, off_duration_mean_s=240)
+
+    def replay_peak(days):
+        records, _ = simulator.generate_trace(profile, [], days * 86400, seed=5)
+        trace, log, model = (tmp_path / f"{name}{days}" for name in ("trace", "log", "model"))
+        with open(trace, "w") as fh:
+            event_log.write_log((event_log.LogRecord(r.timestamp_s, r.rms_amps, None, 0, "none")
+                                 for r in records), fh)
+        del records
+        assert main(["run", "--trace", str(trace), "--log", str(log),
+                     "--events", str(tmp_path / "events.csv"), "--model", str(model)]) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(["replay", "--log", str(log), "--model", str(model),
+                         "--out", str(tmp_path / "replayed.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = replay_peak(2), replay_peak(14)
+    assert long <= short + 16 * 1024
 
 
 def test_config_file_and_flag_override(workspace, tmp_path):

@@ -47,9 +47,16 @@ class TestComputeRms:
         with pytest.raises(InvalidInputError):
             block([0.1, 0.2], rate=rate)
 
-    def test_non_finite_sample_rejected(self):
+    @pytest.mark.parametrize("samples", [
+        [0.1, float("nan"), 0.2], [float("nan")], [1.0, float("inf")], [float("-inf")],
+        [float("inf"), float("-inf")],
+    ])
+    def test_non_finite_sample_rejected(self, samples):
         with pytest.raises(InvalidInputError):
-            block([0.1, float("nan"), 0.2])
+            block(samples)
+
+    def test_finite_samples_whose_sum_overflows_accepted(self):
+        assert compute_rms(block([1e308, 1e308])) == 1e308
 
     @given(
         st.lists(st.floats(-10, 10), min_size=1, max_size=200),

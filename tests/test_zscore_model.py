@@ -98,6 +98,12 @@ class TestScore:
         assert res.z == (0.0,) * 5
         assert res.composite == 0.0
 
+    def test_composite_adds_left_to_right(self):
+        # each 1.0 is lost against 1e16 when added in order; sum(), which is
+        # compensated from Python 3.12 on, would keep both
+        params = trained_params(mu=(0.0,) * 5, sigma=(1.0,) * 5)
+        assert score(params, features([1e16, 1.0, 1.0, 0.0, 0.0])).composite == 1e16 / 5
+
     def test_one_feature_two_sigma(self):
         params = trained_params()
         vec = list(params.mean)
