@@ -222,15 +222,7 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="ampwatch",
-        description="Streaming RMS-current anomaly detection: "
-                    "simulate traces, run the detector, evaluate results.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="synthesize a trace CSV and labels CSV")
+def _add_simulate_args(p):
     duration = p.add_mutually_exclusive_group(required=True)
     duration.add_argument("--duration-days", type=float)
     duration.add_argument("--duration-s", type=float)
@@ -243,44 +235,70 @@ def build_parser() -> _Parser:
                         "long_on, door_open, power_disruption")
     p.add_argument("--out", required=True, help="trace CSV output path")
     p.add_argument("--labels", required=True, help="labels CSV output path")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("run", help="run the full pipeline over a trace CSV")
+
+def _add_run_args(p):
     p.add_argument("--trace", required=True)
     p.add_argument("--log", required=True, help="output log CSV")
     p.add_argument("--events", required=True, help="output events CSV")
     p.add_argument("--model", help="output model file")
     _add_config_flags(p)
-    p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("eval", help="score events against ground-truth labels")
+
+def _add_eval_args(p):
     p.add_argument("--events", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--grace", dest="match_grace_s", type=float,
                    help="match grace seconds")
     p.add_argument("--report", help="write machine-readable key=value report")
     p.add_argument("--config", help="JSON file with PipelineConfig fields")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("profile", help="profile score+detect latency and state size")
+
+def _add_profile_args(p):
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", help="load a model file instead of training one")
     _add_config_flags(p)
-    p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("replay", help="parse an existing log and re-score it")
+
+def _add_replay_args(p):
     p.add_argument("--log", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--model", help="score with a saved model instead of retraining")
     _add_config_flags(p)
-    p.set_defaults(func=_cmd_replay)
 
+
+# name -> (help text, function that adds its arguments, handler)
+_COMMANDS = {
+    "simulate": ("synthesize a trace CSV and labels CSV", _add_simulate_args, _cmd_simulate),
+    "run": ("run the full pipeline over a trace CSV", _add_run_args, _cmd_run),
+    "eval": ("score events against ground-truth labels", _add_eval_args, _cmd_eval),
+    "profile": ("profile score+detect latency and state size", _add_profile_args, _cmd_profile),
+    "replay": ("parse an existing log and re-score it", _add_replay_args, _cmd_replay),
+}
+
+
+def build_parser(command=None) -> _Parser:
+    """The parser for every command, or for ``command`` alone."""
+    parser = _Parser(
+        prog="ampwatch",
+        description="Streaming RMS-current anomaly detection: "
+                    "simulate traces, run the detector, evaluate results.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, handler) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv  # console script, python -m
+    # the full tree is ~68 KB of cyclic garbage, so build only the named
+    # command's; a missing, unknown or abbreviated one gets the full tree
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -95,6 +95,10 @@ class AnomalyEvent:
             raise InvalidInputError(f"event times and streak must be ints, got {ints!r}")
         if self.detected_at_s < self.cycle_start_s:
             raise InvalidInputError("detected_at_s must be >= cycle_start_s")
+        if self.cycle_end_s < self.cycle_start_s:
+            raise InvalidInputError("cycle_end_s must be >= cycle_start_s")
+        if self.streak < 0:
+            raise InvalidInputError(f"streak must be >= 0, got {self.streak}")
 
 
 def serialize_record(record: LogRecord) -> str:

@@ -80,8 +80,10 @@ class ModelParams:
                 continue
             if "=" not in raw:
                 raise InvalidInputError(f"bad model line {raw!r}")
-            key, val = raw.split("=", 1)
-            kv[key.strip()] = val.strip()
+            key, val = (part.strip() for part in raw.split("=", 1))
+            if key in kv:
+                raise InvalidInputError(f"repeated model key {key!r}")
+            kv[key] = val
         try:
             trained_on = int(kv.pop("trained_on"))
             mean = tuple(float(kv.pop(f"mean.{n}")) for n in FEATURE_NAMES)

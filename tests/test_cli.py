@@ -13,8 +13,8 @@ import pytest
 
 from ampwatch import cli, event_log, simulator
 from ampwatch.cli import main
-from ampwatch.pipeline import PipelineConfig, run_pipeline
-from ampwatch.zscore_model import FEATURE_NAMES
+from ampwatch.pipeline import Monitor, PipelineConfig, run_pipeline
+from ampwatch.zscore_model import FEATURE_NAMES, ModelParams
 
 
 def run_cli(args):
@@ -277,17 +277,26 @@ def test_simulate_takes_exactly_one_duration_flag(tmp_path, capsys, flags):
     assert list(tmp_path.iterdir()) == []
 
 
+def traced_peak(call):
+    gc.collect()  # empties the free lists, whose reuse tracemalloc does not see
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def main_ok(argv):
+    assert main(argv) == 0
+
+
 def test_simulate_memory_does_not_grow_with_trace_length(tmp_path):
     def simulate_peak(days, *flags):
-        gc.collect()  # empties the free lists, whose reuse tracemalloc does not see
-        tracemalloc.start()
-        try:
-            assert main(["simulate", "--duration-days", str(days), "--seed", "2",
-                         "--out", str(tmp_path / "trace.csv"),
-                         "--labels", str(tmp_path / "labels.csv"), *flags]) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: main_ok([
+            "simulate", "--duration-days", str(days), "--seed", "2",
+            "--out", str(tmp_path / "trace.csv"), "--labels", str(tmp_path / "labels.csv"),
+            *flags]))
 
     short, long = simulate_peak(2), simulate_peak(20)
     assert long < 2**20
@@ -313,46 +322,60 @@ def test_run_memory_does_not_grow_with_trace_length(tmp_path):
         trace = tmp_path / f"trace{days}.csv"
         assert main(["simulate", "--duration-days", str(days), "--seed", "2",
                      "--out", str(trace), "--labels", str(tmp_path / "labels.csv")]) == 0
-        gc.collect()
-        tracemalloc.start()
-        try:
-            assert main(["run", "--trace", str(trace), "--log", str(tmp_path / "log.csv"),
-                         "--events", str(tmp_path / "events.csv"),
-                         "--training-cycles", "20"]) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: main_ok([
+            "run", "--trace", str(trace), "--log", str(tmp_path / "log.csv"),
+            "--events", str(tmp_path / "events.csv"), "--training-cycles", "20"]))
 
     short, long = run_peak(2), run_peak(20)
     assert long < 2**20
     assert long < 2 * short
 
 
-def test_replay_memory_does_not_grow_with_closed_cycles(tmp_path):
-    # a fast-cycling appliance closes ~12 times as many cycles per record,
-    # so memory held per scored cycle shows at 14 days against 2
+def fast_cycling_log_and_model(tmp_path, days):
+    # a fast-cycling appliance closes ~12 times as many cycles per record
     profile = simulator.ApplianceProfile(on_duration_mean_s=150, off_duration_mean_s=240)
+    records, _ = simulator.generate_trace(profile, [], days * 86400, seed=5)
+    trace, log, model = (tmp_path / f"{name}{days}" for name in ("trace", "log", "model"))
+    with open(trace, "w") as fh:
+        event_log.write_log((event_log.LogRecord(r.timestamp_s, r.rms_amps, None, 0, "none")
+                             for r in records), fh)
+    del records
+    assert main(["run", "--trace", str(trace), "--log", str(log),
+                 "--events", str(tmp_path / "events.csv"), "--model", str(model)]) == 0
+    return log, model
 
+
+def replay_argv(log, model, out):
+    return ["replay", "--log", str(log), "--model", str(model), "--out", str(out)]
+
+
+def test_replay_memory_does_not_grow_with_closed_cycles(tmp_path):
+    # memory held per scored cycle shows at 14 days against 2
     def replay_peak(days):
-        records, _ = simulator.generate_trace(profile, [], days * 86400, seed=5)
-        trace, log, model = (tmp_path / f"{name}{days}" for name in ("trace", "log", "model"))
-        with open(trace, "w") as fh:
-            event_log.write_log((event_log.LogRecord(r.timestamp_s, r.rms_amps, None, 0, "none")
-                                 for r in records), fh)
-        del records
-        assert main(["run", "--trace", str(trace), "--log", str(log),
-                     "--events", str(tmp_path / "events.csv"), "--model", str(model)]) == 0
-        gc.collect()
-        tracemalloc.start()
-        try:
-            assert main(["replay", "--log", str(log), "--model", str(model),
-                         "--out", str(tmp_path / "replayed.csv")]) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        log, model = fast_cycling_log_and_model(tmp_path, days)
+        return traced_peak(lambda: main_ok(replay_argv(log, model, tmp_path / "replayed.csv")))
 
     short, long = replay_peak(2), replay_peak(14)
     assert long <= short + 16 * 1024
+
+
+def test_replay_cli_overhead_over_the_library_is_small(tmp_path):
+    # the CLI adds argument parsing and the all-or-nothing rename to the
+    # library replay; a parser tree for every command would cost ~68 KB
+    log, model = fast_cycling_log_and_model(tmp_path, 2)
+
+    def library_replay():
+        with open(model) as fh:
+            params = ModelParams.load(fh)
+        monitor, events = Monitor(PipelineConfig(), params), []
+        with open(log) as src, open(tmp_path / "library.csv", "w") as fh:
+            event_log.write_log(monitor.run(event_log.iter_log(src), events), fh)
+        monitor.finish()
+
+    library = traced_peak(library_replay)
+    cli_peak = traced_peak(lambda: main_ok(replay_argv(log, model, tmp_path / "replayed.csv")))
+    assert (tmp_path / "replayed.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+    assert cli_peak <= library + 32 * 1024
 
 
 def test_config_file_and_flag_override(workspace, tmp_path):
@@ -408,6 +431,66 @@ def test_config_flag_dests_are_pipeline_config_fields():
     for command in ("run", "replay", "profile", "eval"):
         dests = {a.dest for a in subparsers.choices[command]._actions}
         assert dests - NON_CONFIG_DESTS <= fields, command
+
+
+VALID_ARGS = {
+    **COMMAND_ARGS,
+    "simulate": ["--duration-days", "2", "--seed", "3", "--scenario", "door_open:600",
+                 "--out", "t.csv", "--labels", "l.csv"],
+    "eval": ["--events", "e.csv", "--labels", "l.csv", "--grace", "60"],
+}
+# a missing required argument; profile has none, so it gets a bad value
+BAD_ARGS = {
+    "simulate": ["--out", "t.csv", "--labels", "l.csv"],
+    "run": ["--trace", "t.csv", "--log", "l.csv"],
+    "eval": ["--labels", "l.csv"],
+    "profile": ["--trials", "many"],
+    "replay": ["--log", "l.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(VALID_ARGS))
+def test_one_command_parser_parses_as_the_full_one(command, capsys):
+    one, full = cli.build_parser(command), cli.build_parser()
+    helps = []
+    for parser in (one, full):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith(f"usage: ampwatch {command} ")
+    argv = [command, *VALID_ARGS[command]]
+    assert one.parse_args(argv) == full.parse_args(argv)
+    errors = []
+    for parser in (one, full):
+        with pytest.raises(cli.UsageError) as info:
+            parser.parse_args([command, *BAD_ARGS[command]])
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def test_no_or_unknown_command_gets_the_full_parser(capsys):
+    assert main([]) == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+    assert main(["bogus"]) == 1
+    err = capsys.readouterr().err  # how choices are quoted varies with the Python version
+    assert "invalid choice: 'bogus'" in err and all(name in err for name in cli._COMMANDS)
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "{simulate,run,eval,profile,replay}" in capsys.readouterr().out
+
+
+def test_module_entry_point_reads_sys_argv():
+    # main() with no argv, as python -m ampwatch calls it; -I keeps the
+    # environment out, so the source tree goes on the path by hand
+    src = str(Path(cli.__file__).parents[1])
+    code = ("import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+            "runpy.run_module('ampwatch', run_name='__main__', alter_sys=True)")
+    r = subprocess.run([sys.executable, "-I", "-c", code, src, "replay", "--help"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0
+    assert r.stdout.startswith("usage: ampwatch replay ")
 
 
 def test_profile_command(workspace, capsys):
@@ -486,6 +569,19 @@ class TestExitCodes:
         out = tmp_path / "out.csv"
         r = run_cli(["replay", "--log", str(log), "--model", str(model), "--out", str(out)])
         assert r.returncode == 2
+        assert not out.exists()
+
+    def test_repeated_model_key_is_2(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text("1700000000,0.0700,,0,none\n")
+        model = tmp_path / "model.txt"
+        model.write_text("trained_on=50\n" + "".join(
+            f"mean.{name}=1.0\nstd.{name}=0.5\n" for name in FEATURE_NAMES)
+            + "mean.rms_last=99.0\n")
+        out = tmp_path / "out.csv"
+        assert main(["replay", "--log", str(log), "--model", str(model), "--out", str(out)]) == 2
+        assert main(["profile", "--trials", "10", "--model", str(model)]) == 2
+        assert capsys.readouterr().err.count("repeated model key 'mean.rms_last'") == 2
         assert not out.exists()
 
     def test_overlapping_scenarios_is_2(self, tmp_path):

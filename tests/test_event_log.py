@@ -235,6 +235,13 @@ def test_event_invariants():
     for kind in ("none", "bogus", None, ["zscore"]):
         with pytest.raises(InvalidInputError):
             AnomalyEvent(kind, 1000, None, 0, 500, 1000)
+    with pytest.raises(InvalidInputError, match="streak"):
+        AnomalyEvent(EventKind.ZSCORE, 1000, 2.0, -4, 500, 1000)
+    with pytest.raises(InvalidInputError, match="cycle_end_s"):
+        AnomalyEvent(EventKind.ZSCORE, 1000, 2.0, 1, 500, 100)
+    # a watchdog's streak is 0, and a flagged log record's event is one instant
+    AnomalyEvent(EventKind.WATCHDOG, 9000, None, 0, 5000, 9000)
+    AnomalyEvent(EventKind.ZSCORE, 1000, 2.0, 0, 1000, 1000)
 
 
 EVENT_INTS = st.integers(-2**40, 2**40) | NOT_INTS
@@ -256,7 +263,8 @@ def test_event_constructor_accepts_exactly_what_round_trips(
     ints = (detected, streak, start, end)
     valid = (kind in ("zscore", "watchdog") and (composite is None) == (kind == "watchdog")
              and (composite is None or math.isfinite(composite))
-             and all(type(t) is int for t in ints) and detected >= start)
+             and all(type(t) is int for t in ints) and detected >= start
+             and end >= start and streak >= 0)
     if not valid:
         with pytest.raises(InvalidInputError):
             AnomalyEvent(kind, detected, composite, streak, start, end)
@@ -295,6 +303,8 @@ LABELS_FILE = LABELS_HEADER + "\n345600,363600,thermostat_long_on\n"
     (read_events, EVENTS_FILE + "9000,zscore,nan,1,5000,9000\n", 3),
     (read_events, EVENTS_FILE + "\n\n9000,none,,0,5000,9000\n", 5),
     (read_events, EVENTS_FILE + EVENTS_HEADER + "\n", 3),
+    (read_events, EVENTS_FILE + "100,zscore,3.0,-4,50,100\n", 3),
+    (read_events, EVENTS_FILE + "100,zscore,3.0,1,50,10\n", 3),
     (read_labels, LABELS_FILE + "604800,605700\n", 3),
     (read_labels, LABELS_FILE + "604800,605700,door_open,1\n", 3),
     (read_labels, LABELS_FILE + "604800,605700,meltdown\n", 3),

@@ -236,3 +236,12 @@ class TestSerialization:
         ]
         with pytest.raises(InvalidInputError):
             ModelParams.from_text("\n".join(lines))
+
+    @pytest.mark.parametrize("line", ["mean.rms_last=99.0", " mean.rms_last = 99.0",
+                                      "trained_on=50"])
+    def test_repeated_key_rejected(self, line):
+        # a second line used to replace the first one silently
+        text = trained_params().to_text() + line + "\n"
+        key = line.split("=")[0].strip()
+        with pytest.raises(InvalidInputError, match=f"repeated model key '{key}'"):
+            ModelParams.from_text(text)
