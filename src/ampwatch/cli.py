@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data/parse error,
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -133,12 +134,9 @@ def _cmd_simulate(args) -> int:
     segments, labels = iter_trace(
         profile, scenarios, duration_s, args.seed, start_timestamp_s=args.start_epoch
     )
-    none = event_log.EventKind.NONE
-    log = (event_log.LogRecord(r.timestamp_s, r.rms_amps, None, 0, none)
-           for segment in segments for r in segment)
     with _all_or_nothing([args.out, args.labels]) as (out_part, labels_part):
         with open(out_part, "w") as fh:
-            n_records = event_log.write_log(log, fh)
+            n_records = event_log.write_trace(itertools.chain.from_iterable(segments), fh)
         with open(labels_part, "w") as fh:
             write_labels(labels, fh)
     print(f"wrote {n_records} records to {args.out}, "
@@ -285,7 +283,8 @@ def build_parser(command=None) -> _Parser:
         description="Streaming RMS-current anomaly detection: "
                     "simulate traces, run the detector, evaluate results.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # main requires the command: argparse's own error names only "command"
+    sub = parser.add_subparsers(dest="command")
     for name, (help_text, add_args, handler) in _COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)
@@ -301,6 +300,9 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            raise UsageError("the following arguments are required: command "
+                             f"(choose from {', '.join(_COMMANDS)})")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

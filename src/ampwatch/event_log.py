@@ -15,6 +15,7 @@ from enum import Enum
 from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
 
 from .errors import InvalidInputError, LogParseError
+from .signal_core import RmsRecord
 
 LOG_HEADER = "timestamp,rms,zscore,flag,kind"
 EVENTS_HEADER = "detected_at,kind,composite,streak,cycle_start,cycle_end"
@@ -161,6 +162,23 @@ def write_log(records: Iterable[LogRecord], fh: TextIO) -> int:
             last_z, z_text = z, "" if z is None else f"{z:.4f}"
         write(f"{rec.timestamp_s},{rec.rms_amps:.4f},{z_text},"
               f"{rec.anomaly_flag},{rec.event_kind._value_}\n")
+    return n
+
+
+def write_trace(records: Iterable[RmsRecord], fh: TextIO) -> int:
+    """What ``write_log`` writes for the records as LogRecords with no z and
+    no event; returns the count.  LogRecord's InvalidInputError is raised for
+    a non-int timestamp, or an rms that was set out of range after building."""
+    write = fh.write
+    write(LOG_HEADER + "\n")
+    n = 0
+    for n, rec in enumerate(records, start=1):
+        ts, rms = rec.timestamp_s, rec.rms_amps
+        if type(ts) is not int:
+            raise InvalidInputError(f"timestamp_s must be an int, got {ts!r}", 1)
+        if not 0 <= rms < math.inf:
+            raise InvalidInputError("rms_amps must be finite and non-negative", 2)
+        write(f"{ts},{rms:.4f},,0,none\n")
     return n
 
 

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ampwatch.cycle_tracker import (
     CompressorState,
@@ -118,6 +122,37 @@ class TestIngest:
         tracker = CycleTracker()
         feats = feed(tracker, cycle * 7)
         assert len(feats) == 7
+
+    # levels at, inside and across the hysteresis band, so the state chatters
+    LEVELS = st.sampled_from([0.05, 0.19, 0.2, 0.21, 0.3, 0.44, 0.45, 0.46, 0.87])
+
+    @given(st.lists(st.tuples(st.integers(1, 600), LEVELS | st.floats(0, 1.2)),
+                    min_size=1, max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_features_match_a_two_pass_oracle(self, rows):
+        steps, values = zip(*rows)
+        stream = list(zip(itertools.accumulate(steps, initial=1_700_000_000), values))
+
+        # the classify_state fold splits the stream; numpy computes each cycle in two passes
+        oracle, state, cycle = [], OFF, []
+        for ts, rms in stream:
+            new = classify_state(rms, state, DEFAULTS)
+            if new is ON:
+                cycle.append((ts, rms))
+            elif state is ON:
+                e = np.array([t - cycle[0][0] for t, _ in cycle], dtype=float)
+                x = np.array([r for _, r in cycle])
+                slope = np.polyfit(e, x, 1)[0] if len(x) >= 2 else 0.0
+                oracle.append((x[-1], x.mean(), x.std(), slope, float(ts - cycle[0][0])))
+                cycle = []
+            state = new
+
+        tracker = CycleTracker()
+        emitted = [tracker.ingest(RmsRecord(ts, rms)) for ts, rms in stream]
+        features = [f.as_vector() for f in emitted if f is not None]
+        assert len(features) == len(oracle)
+        for got, want in zip(features, oracle):
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_non_monotonic_timestamp(self):
         tracker = CycleTracker()

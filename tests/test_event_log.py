@@ -15,13 +15,16 @@ from ampwatch.event_log import (
     EventKind,
     LOG_HEADER,
     LogRecord,
+    iter_log,
     parse_record,
     read_events,
     read_log,
     serialize_record,
     write_events,
     write_log,
+    write_trace,
 )
+from ampwatch.signal_core import RmsRecord
 from ampwatch.simulator import LABELS_HEADER, read_labels
 
 
@@ -193,6 +196,35 @@ def test_write_log_memory_does_not_grow_with_record_count():
                 tracemalloc.stop()
 
     assert peak(40_000) <= peak(4_000) + 1024
+
+
+RMS_EDGES = st.sampled_from([0.0, -0.0, 5e-05, 0.00015, 5e-324, 1e15])
+
+
+@given(st.lists(st.tuples(st.integers(-2**40, 2**40), RMS_EDGES | st.floats(0, 10)),
+                unique_by=lambda row: row[0]))
+@settings(max_examples=300)
+def test_write_trace_writes_what_write_log_writes_for_trace_rows(rows):
+    records = [RmsRecord(ts, rms) for ts, rms in sorted(rows)]
+    trace, log = io.StringIO(), io.StringIO()
+    assert write_trace(records, trace) == len(records)
+    assert write_log((LogRecord(r.timestamp_s, r.rms_amps, None, 0, EventKind.NONE)
+                      for r in records), log) == len(records)
+    assert trace.getvalue() == log.getvalue()
+    assert [(r.timestamp_s, r.rms_amps) for r in iter_log(io.StringIO(trace.getvalue()))] == [
+        (r.timestamp_s, float(f"{r.rms_amps:.4f}")) for r in records]
+
+
+def test_write_trace_refuses_what_log_record_refuses():
+    buf = io.StringIO()
+    assert write_trace([], buf) == 0
+    assert buf.getvalue() == LOG_HEADER + "\n"
+    with pytest.raises(InvalidInputError, match="timestamp_s"):
+        write_trace([RmsRecord(1.5, 0.5)], io.StringIO())
+    changed = RmsRecord(1, 0.5)
+    changed.rms_amps = math.nan  # RmsRecord checks only at construction
+    with pytest.raises(InvalidInputError, match="rms_amps"):
+        write_trace([RmsRecord(0, 0.5), changed], io.StringIO())
 
 
 def test_file_round_trip_with_header():
