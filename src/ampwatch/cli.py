@@ -94,11 +94,14 @@ def _load_config(args) -> PipelineConfig:
 def _all_or_nothing(paths):
     """Yield one ``<path>.part`` per target path and rename every part onto
     its target only when the block completes, so a failed command leaves
-    no output and a target may also be the command's input.
+    no output.  A target may be the command's input but not another target.
     """
-    for path in paths:
+    for i, path in enumerate(paths):
         if os.path.isdir(path):
             raise IsADirectoryError(f"output path is a directory: {path!r}")
+        for first in paths[:i]:
+            if os.path.realpath(first) == os.path.realpath(path):
+                raise UsageError(f"output paths {first!r} and {path!r} name one file")
     parts = [path + ".part" for path in paths]
     try:
         yield parts

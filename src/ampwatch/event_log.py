@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
 
-from .errors import InvalidInputError, LogParseError
+from .errors import InvalidInputError, LogParseError, StreamOrderError
 from .signal_core import RmsRecord
 
 LOG_HEADER = "timestamp,rms,zscore,flag,kind"
@@ -151,16 +151,20 @@ def write_log(records: Iterable[LogRecord], fh: TextIO) -> int:
     returns the record count.  The z text is formatted again only when
     ``composite_z`` is not the previous record's object (``Monitor.run``
     keeps one per cycle); identity, as 0.0 == -0.0 but prints differently.
+    A timestamp that ``iter_log`` would refuse raises StreamOrderError.
     """
     write = fh.write
     write(LOG_HEADER + "\n")
-    n = 0
+    n, last_ts = 0, -math.inf
     last_z, z_text = None, ""
     for n, rec in enumerate(records, start=1):
-        z = rec.composite_z
+        ts, z = rec.timestamp_s, rec.composite_z
+        if ts <= last_ts:
+            raise StreamOrderError(f"timestamp {ts} not after {last_ts}")
+        last_ts = ts
         if z is not last_z:
             last_z, z_text = z, "" if z is None else f"{z:.4f}"
-        write(f"{rec.timestamp_s},{rec.rms_amps:.4f},{z_text},"
+        write(f"{ts},{rec.rms_amps:.4f},{z_text},"
               f"{rec.anomaly_flag},{rec.event_kind._value_}\n")
     return n
 
@@ -168,14 +172,18 @@ def write_log(records: Iterable[LogRecord], fh: TextIO) -> int:
 def write_trace(records: Iterable[RmsRecord], fh: TextIO) -> int:
     """What ``write_log`` writes for the records as LogRecords with no z and
     no event; returns the count.  LogRecord's InvalidInputError is raised for
-    a non-int timestamp, or an rms that was set out of range after building."""
+    a non-int timestamp, or an rms that was set out of range after building;
+    ``write_log``'s StreamOrderError for a timestamp out of order."""
     write = fh.write
     write(LOG_HEADER + "\n")
-    n = 0
+    n, last_ts = 0, -math.inf
     for n, rec in enumerate(records, start=1):
         ts, rms = rec.timestamp_s, rec.rms_amps
         if type(ts) is not int:
             raise InvalidInputError(f"timestamp_s must be an int, got {ts!r}", 1)
+        if ts <= last_ts:
+            raise StreamOrderError(f"timestamp {ts} not after {last_ts}")
+        last_ts = ts
         if not 0 <= rms < math.inf:
             raise InvalidInputError("rms_amps must be finite and non-negative", 2)
         write(f"{ts},{rms:.4f},,0,none\n")

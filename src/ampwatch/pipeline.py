@@ -84,11 +84,9 @@ class Monitor:
     def __init__(self, config: PipelineConfig, model: Optional[ModelParams] = None):
         self.config = config
         self.tracker = CycleTracker(config.thresholds())
-        self.wd_config = config.watchdog()
         self.stats = FeatureStats()
         self.model = model
         self.detector = DetectorState(threshold=config.z_threshold)
-        self.wd_fired = False
         self.last_composite: Optional[float] = None
 
     def run(self, records: Iterable[RmsRecord],
@@ -98,23 +96,26 @@ class Monitor:
         ``timestamp_s`` and ``rms_amps`` are read.
 
         A record either closes a cycle (``_close_cycle``) or may fire the
-        watchdog on the tracker's ``off_since_s``, never both.  State is
-        written back on every record, so a run may be left part-consumed
-        and the stream continued by another ``run``.
+        watchdog, never both.  The watchdog fires on the first OFF record
+        more than the limit after the tracker's ``off_since_s``: timestamps
+        increase, so that is the one whose predecessor was not past it.
+        State is written back on every record, so a run may be left
+        part-consumed and the stream continued by another ``run``.
         """
-        tracker, wd_config = self.tracker, self.wd_config
-        ingest, off_limit_s = tracker.ingest, wd_config.off_limit_s
+        tracker, watchdog = self.tracker, self.config.watchdog()
+        ingest, off_limit_s = tracker.ingest, watchdog.off_limit_s
+        prev_ts = tracker.last_timestamp_s
         for record in records:
             features = ingest(record)
             ts = record.timestamp_s
             event = None
             if features is not None:
                 event = self._close_cycle(features, ts)
-            elif (tracker.state is _OFF and not self.wd_fired
-                  and ts - tracker.off_since_s > off_limit_s):
-                self.wd_fired = True
-                event = check_watchdog(ts, tracker.off_since_s, wd_config, False,
+            elif (tracker.state is _OFF and ts - tracker.off_since_s > off_limit_s
+                  and not prev_ts - tracker.off_since_s > off_limit_s):
+                event = check_watchdog(ts, tracker.off_since_s, watchdog, False,
                                        self.detector.streak)
+            prev_ts = ts
             z_col = self.last_composite
             if event is None:
                 yield LogRecord(ts, record.rms_amps, z_col, 0, _NO_EVENT)
@@ -124,9 +125,7 @@ class Monitor:
 
     def _close_cycle(self, features: CycleFeatures, ts: int) -> Optional[AnomalyEvent]:
         """Train on, or score and detect, the cycle that record ``ts``
-        closed, which began at the tracker's ``last_cycle_start_s``; the
-        OFF streak that ``ts`` starts gets a fresh watchdog."""
-        self.wd_fired = False
+        closed, which began at the tracker's ``last_cycle_start_s``."""
         if self.model is None:
             train_update(self.stats, features)
             if self.stats.count >= self.config.training_cycles:

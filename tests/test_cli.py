@@ -561,6 +561,33 @@ class TestExitCodes:
         assert not log.exists() and not model.exists()
         assert list(tmp_path.glob("*.part")) == []
 
+    def test_two_outputs_naming_one_file_are_1_and_write_nothing(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--duration-days", "2", "--seed", "1",
+                     "--out", "trace.csv", "--labels", "labels.csv"]) == 0
+        run = ["run", "--trace", "trace.csv", "--training-cycles", "5"]
+        simulate = ["simulate", "--duration-days", "2", "--seed", "1"]
+        cases = [
+            run + ["--log", "x.csv", "--events", "x.csv", "--model", "m.txt"],
+            run + ["--log", "x.csv", "--events", "e.csv", "--model", "x.csv"],
+            run + ["--log", "l.csv", "--events", "x.csv", "--model", "x.csv"],
+            run + ["--log", "x.csv", "--events", "./x.csv"],
+            simulate + ["--out", "x.csv", "--labels", "x.csv"],
+            simulate + ["--out", "./x.csv", "--labels", "x.csv"],
+        ]
+        existing = b"written before the command\n"
+        for argv in cases:
+            (tmp_path / "x.csv").write_bytes(existing)
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert (tmp_path / "x.csv").read_bytes() == existing
+            # no part file, and no output of the other, distinct targets
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "labels.csv", "trace.csv", "x.csv"]
+
     def test_missing_file_is_2(self, tmp_path):
         r = run_cli(["run", "--trace", str(tmp_path / "nope.csv"),
                      "--log", str(tmp_path / "l"), "--events", str(tmp_path / "e")])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ampwatch.errors import InvalidInputError, LogParseError
+from ampwatch.errors import InvalidInputError, LogParseError, StreamOrderError
 from ampwatch.event_log import (
     EVENTS_HEADER,
     AnomalyEvent,
@@ -225,6 +225,19 @@ def test_write_trace_refuses_what_log_record_refuses():
     changed.rms_amps = math.nan  # RmsRecord checks only at construction
     with pytest.raises(InvalidInputError, match="rms_amps"):
         write_trace([RmsRecord(0, 0.5), changed], io.StringIO())
+    # iter_log refuses a timestamp not after the previous one, in its wording
+    for first, second in [(5, 5), (9, 3)]:
+        with pytest.raises(StreamOrderError, match=f"^timestamp {second} not after {first}$"):
+            write_trace([RmsRecord(first, 0.5), RmsRecord(second, 0.5)], io.StringIO())
+        with pytest.raises(LogParseError, match=f"timestamp {second} not after {first}"):
+            read_log(io.StringIO(f"{first},0.5000,,0,none\n{second},0.5000,,0,none\n"))
+
+
+def test_write_log_refuses_what_iter_log_refuses():
+    for first, second in [(5, 5), (9, 3)]:
+        records = [LogRecord(ts, 0.5, None, 0, EventKind.NONE) for ts in (first, second)]
+        with pytest.raises(StreamOrderError, match=f"^timestamp {second} not after {first}$"):
+            write_log(records, io.StringIO())
 
 
 def test_file_round_trip_with_header():

@@ -318,3 +318,50 @@ def test_monitor_run_continues_where_it_stopped(records, training_cycles, thresh
     log += monitor.run(records[k:], events)
     assert log == want_log
     assert events == want_events
+
+
+def test_watchdog_fires_on_the_record_that_crosses_its_limit():
+    """Limit 600 s: the record exactly 600 s into an OFF streak is not past
+    it and the next one fires, once per streak; the streak a cycle close
+    starts fires again.  A run broken right before or right after a firing
+    record and continued by a second run gives the same log and events."""
+    t0, off, on = 1_700_000_000, 0.07, 0.87
+    stream = [(0, off), (300, off), (600, off), (601, off), (900, off), (1500, off),
+              (1530, on), (1560, on), (1590, off), (2190, off), (2191, off), (5000, off)]
+    records = [RmsRecord(t0 + dt, rms) for dt, rms in stream]
+    config = PipelineConfig(watchdog_off_limit_s=600)
+    events = []
+    log = list(Monitor(config).run(records, events))
+    assert [(e.kind, e.detected_at_s - t0, e.cycle_start_s - t0, e.cycle_end_s - t0)
+            for e in events] == [(EventKind.WATCHDOG, 601, 0, 601),
+                                 (EventKind.WATCHDOG, 2191, 1590, 2191)]
+    assert [r.timestamp_s - t0 for r in log if r.anomaly_flag] == [601, 2191]
+
+    for fired in (3, 10):
+        for k in (fired, fired + 1):
+            monitor, split_events = Monitor(config), []
+            split_log = list(itertools.islice(monitor.run(records, split_events), k))
+            split_log += monitor.run(records[k:], split_events)
+            assert (split_log, split_events) == (log, events), k
+
+
+# the whole detector state: a field added to any of these must be listed here
+MONITOR_STATE = {"config", "tracker", "stats", "model", "detector", "last_composite"}
+TRACKER_STATE = {"thresholds", "state", "last_timestamp_s", "off_since_s", "last_cycle_start_s",
+                 "_n", "_mean", "_m2", "_last_rms", "_mean_e", "_see", "_ser"}
+DETECTOR_STATE = {"threshold", "streak"}
+
+
+def test_monitor_state_is_the_documented_fields():
+    monitor = Monitor(PipelineConfig(training_cycles=5))
+    parts = (monitor, monitor.tracker, monitor.detector)
+    fresh = [set(vars(part)) for part in parts]
+    sc = AnomalyScenario(ScenarioKind.POWER_DISRUPTION, 1.5 * DAY)
+    records, _ = make_trace([sc], days=2, seed=7)
+    events = []
+    list(monitor.run(records, events))
+    # trained, then scored cycles, and the watchdog fired
+    assert monitor.model is not None and monitor.last_composite is not None
+    assert [e.kind for e in events] == [EventKind.WATCHDOG]
+    assert [set(vars(part)) for part in parts] == fresh == [
+        MONITOR_STATE, TRACKER_STATE, DETECTOR_STATE]
