@@ -9,15 +9,14 @@ carry a fault and whose drawn span reaches past the scenario's start:
   magnitude (default 5 h), which must outlast the longest normal ON.
 - DoorOpen multiplies the drawn ON duration by a factor in [2, 3]
   (delayed transition to OFF after the door event); the stretched ON
-  too must outlast the longest normal ON.  Its magnitude changes neither
-  the trace nor the label: it is only range-checked, and it sets the
-  window that the overlap check uses.
+  too must outlast the longest normal ON.  It takes no magnitude.
 - PowerDisruption lets the ON segment complete, then forces OFF-level
   RMS for the scenario magnitude (default 2 h, beyond the watchdog
   limit), which must outlast the longest normal OFF.
 
 Each scenario yields exactly one ground-truth label covering the
-anomalous interval and ending within the trace, or InvalidScenarioError.
+anomalous interval and ending within the trace, or InvalidScenarioError;
+a scenario that starts inside an earlier fault's label is refused.
 All randomness comes from the package's own xorshift64* stream, so a
 (profile, scenarios, duration, seed) tuple produces the same records on
 any platform.
@@ -54,7 +53,6 @@ def _scenario_kind(kind, error) -> ScenarioKind:
 
 DEFAULT_MAGNITUDES = {
     ScenarioKind.THERMOSTAT_LONG_ON: 18_000.0,  # ~5 h runtime
-    ScenarioKind.DOOR_OPEN: 900.0,              # 15 min door event
     ScenarioKind.POWER_DISRUPTION: 7_200.0,     # 2 h outage
 }
 
@@ -85,7 +83,7 @@ class ApplianceProfile:
             raise InvalidInputError("durations must be positive")
         if not self.on_duration_jitter < 1 or not self.off_duration_jitter < 1:
             raise InvalidInputError("jitter fractions must be in [0, 1)")
-        if not isinstance(self.record_interval_s, int) or self.record_interval_s <= 0:
+        if type(self.record_interval_s) is not int or self.record_interval_s <= 0:
             raise InvalidInputError("record_interval_s must be a positive integer")
 
 
@@ -120,18 +118,16 @@ class GroundTruthLabel:
 
 def _validate_scenarios(scenarios: Sequence[AnomalyScenario], duration_s: float):
     ordered = sorted(scenarios, key=lambda s: s.start_s)
-    prev_end = None
     for sc in ordered:
         if not 0 <= sc.start_s < duration_s:
             raise InvalidScenarioError(
                 f"scenario start {sc.start_s} outside trace duration"
             )
-        mag = sc.magnitude_or_default()
-        if not 0 < mag < duration_s:
+        if sc.kind == ScenarioKind.DOOR_OPEN:
+            if sc.magnitude is not None:
+                raise InvalidScenarioError("a door_open takes no magnitude")
+        elif not 0 < sc.magnitude_or_default() < duration_s:
             raise InvalidScenarioError("scenario magnitude must be positive and below duration_s")
-        if prev_end is not None and sc.start_s < prev_end:
-            raise InvalidScenarioError("scenarios overlap in time")
-        prev_end = sc.start_s + mag
     return ordered
 
 
@@ -153,15 +149,18 @@ def _plan_segments(profile, scenarios, duration_s, rng, start, labels):
         off_d = draw(profile.off_duration_mean_s, profile.off_duration_jitter)
         if pending and pending[0].start_s < t + on_d + off_d:
             sc = pending.pop(0)
-            mag = sc.magnitude_or_default()
+            if labels and labels[-1].window_end_s > start + sc.start_s:
+                raise InvalidScenarioError(
+                    f"scenario at {sc.start_s} s overlaps the fault labelled before it")
             if sc.kind == ScenarioKind.POWER_DISRUPTION:
+                mag = sc.magnitude_or_default()
                 off_d = snap(mag)
                 if off_d <= snap(profile.off_duration_mean_s * (1 + profile.off_duration_jitter)):
                     raise InvalidScenarioError(f"outage {mag} s must outlast a normal OFF")
                 labels.append(GroundTruthLabel(start + t + on_d, start + t + on_d + off_d, sc.kind))
             else:
                 if sc.kind == ScenarioKind.THERMOSTAT_LONG_ON:
-                    on_d = snap(mag)
+                    on_d = snap(sc.magnitude_or_default())
                 else:  # DOOR_OPEN
                     on_d = snap(on_d * rng.uniform(2.0, 3.0))
                 if on_d <= snap(profile.on_duration_mean_s * (1 + profile.on_duration_jitter)):

@@ -39,7 +39,7 @@ DAY = 86_400.0
 
 PAPER_SCENARIOS = [
     AnomalyScenario(ScenarioKind.THERMOSTAT_LONG_ON, 4 * DAY),    # ~5 h runtime
-    AnomalyScenario(ScenarioKind.DOOR_OPEN, 7 * DAY),             # 15 min door event
+    AnomalyScenario(ScenarioKind.DOOR_OPEN, 7 * DAY),             # ON stretched 2-3x
     AnomalyScenario(ScenarioKind.DOOR_OPEN, 9 * DAY),
     AnomalyScenario(ScenarioKind.POWER_DISRUPTION, 12 * DAY),     # 2 h outage
 ]

@@ -246,6 +246,9 @@ def test_simulate_rejects_non_finite_input(tmp_path, monkeypatch, flags, code):
     ["door_open:83400", "door_open:84900"],  # no cycle left for the second
     ["long_on:83400"],  # the 5 h ON runs past the end of the trace
     ["outage:84000:6000"],  # the outage runs past the end of the trace
+    ["door_open:10000", "long_on:11000"],  # starts inside the door's 9,360-14,130 s label
+    ["outage:100", "long_on:7301"],  # starts inside the outage's 1,800-9,000 s label
+    ["door_open:1000:900"],  # a door_open takes no magnitude
 ])
 def test_simulate_refuses_a_scenario_it_cannot_place(tmp_path, capsys, scenarios):
     flags = [arg for sc in scenarios for arg in ("--scenario", sc)]

@@ -68,7 +68,7 @@ def test_timestamp_lattice(duration_s, interval_s, seed):
     assert [r.timestamp_s for r in records] == [start + k * interval_s for k in range(n)]
 
 
-@pytest.mark.parametrize("interval", [0, -30, 30.0, 7.5])
+@pytest.mark.parametrize("interval", [0, -30, 30.0, 7.5, True, False])
 def test_record_interval_must_be_a_positive_integer(interval):
     with pytest.raises(InvalidInputError):
         ApplianceProfile(record_interval_s=interval)
@@ -270,6 +270,17 @@ def test_overlapping_scenarios_rejected():
         generate_trace(ApplianceProfile(), scen, DAY, seed=0)
 
 
+def test_scenario_after_an_earlier_label_is_placed():
+    # the door starts 440 s after the long ON's label ends, though before 10,000 s + 5 h
+    scen = [AnomalyScenario(ScenarioKind.THERMOSTAT_LONG_ON, 10_000.0),
+            AnomalyScenario(ScenarioKind.DOOR_OPEN, 27_800.0)]
+    _, labels = iter_trace(ApplianceProfile(), scen, DAY, seed=0)
+    assert [(l.window_start_s - START, l.window_end_s - START, l.kind) for l in labels] == [
+        (9_360, 27_360, ScenarioKind.THERMOSTAT_LONG_ON),
+        (29_820, 34_530, ScenarioKind.DOOR_OPEN),
+    ]
+
+
 def test_scenario_outside_duration_rejected():
     scen = [AnomalyScenario(ScenarioKind.DOOR_OPEN, 2 * DAY)]
     with pytest.raises(InvalidScenarioError):
@@ -335,13 +346,23 @@ def test_scenario_behind_a_fault_in_the_last_cycle_is_refused(seed):
 # the long ON runs the first cycle past the trace end, so no cycle is left for the door
 @example(scenarios=[AnomalyScenario(ScenarioKind.THERMOSTAT_LONG_ON, 0.0, 9000.0),
                     AnomalyScenario(ScenarioKind.DOOR_OPEN, 9500.0)], seed=0)
+# the long ON starts inside the door's 0-4,860 s label
+@example(scenarios=[AnomalyScenario(ScenarioKind.DOOR_OPEN, 0.0),
+                    AnomalyScenario(ScenarioKind.THERMOSTAT_LONG_ON, 1000.0, 2100.0)], seed=0)
 @settings(max_examples=150, deadline=None)
 def test_each_scenario_yields_one_label_or_is_refused(scenarios, seed):
+    duration_s = DAY / 8
     try:
-        _, labels = generate_trace(ApplianceProfile(), scenarios, DAY / 8, seed)
+        _, labels = generate_trace(ApplianceProfile(), scenarios, duration_s, seed)
     except InvalidScenarioError:
         return
-    assert [l.kind for l in labels] == [s.kind for s in sorted(scenarios, key=lambda s: s.start_s)]
+    ordered = sorted(scenarios, key=lambda s: s.start_s)
+    assert [l.kind for l in labels] == [s.kind for s in ordered]
+    bounds = [b for l in labels for b in (l.window_start_s, l.window_end_s)]
+    assert bounds == sorted(bounds)  # in order, and no two overlap
+    assert all(START <= b <= START + duration_s for b in bounds)
+    assert all(l.window_end_s <= START + s.start_s for l, s in zip(labels, ordered[1:]))
+    assert not any(s.kind == ScenarioKind.DOOR_OPEN and s.magnitude is not None for s in ordered)
 
 
 def test_clean_trace_pipeline_calibration():
