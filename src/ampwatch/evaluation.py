@@ -1,8 +1,10 @@
 """Event-level detection scoring against ground-truth label windows."""
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .errors import InvalidInputError
 from .event_log import AnomalyEvent
 from .simulator import GroundTruthLabel
 
@@ -35,6 +37,8 @@ def evaluate(
     leftover events are false positives, leftover labels false
     negatives.  Input order is irrelevant; sorting is internal.
     """
+    if not 0 <= match_grace_s < math.inf:
+        raise InvalidInputError("match_grace_s must be finite and non-negative")
     evs = sorted(events, key=lambda e: e.detected_at_s)
     labels = sorted(truth, key=lambda l: l.window_start_s)
     consumed = [False] * len(evs)

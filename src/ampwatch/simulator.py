@@ -182,7 +182,10 @@ def iter_trace(
     seed: int,
     start_timestamp_s: int = DEFAULT_START_TIMESTAMP_S,
 ) -> Tuple[Iterator[List[RmsRecord]], List[GroundTruthLabel]]:
-    """A generator of one record list per planned segment, and the labels.
+    """A generator of record lists, and the labels.
+
+    Each list holds 1 to 128 records in timestamp order and lies inside
+    one planned ON or OFF segment, so a long fault is yielded in slices.
 
     The planner runs twice from the seed: here, to check the input, place
     every fault and leave ``rng`` where the noise draws begin; then again,
@@ -201,6 +204,11 @@ def iter_trace(
     return _sample_segments(profile, cycles, duration_s, rng, start_timestamp_s), labels
 
 
+# Above the default profile's longest normal segment (99 records), so only
+# fault segments are split and a long fault does not set the peak memory.
+_CHUNK_RECORDS = 128
+
+
 def _sample_segments(profile, cycles, duration_s, rng, start):
     iv = profile.record_interval_s
     # cycles tile [0, >= duration_s) on the iv lattice, so each
@@ -211,8 +219,10 @@ def _sample_segments(profile, cycles, duration_s, rng, start):
     t = start
     for on_s, on_level, off_s in cycles:
         for seg_s, level in ((on_s, on_level), (off_s, profile.off_rms_amps)):
-            yield [RmsRecord(ts, 0.0 if (r := level + gauss(0.0, noise)) < 0.0 else r)
-                   for ts in range(t, min(t + seg_s, end), iv)]
+            stamps = range(t, min(t + seg_s, end), iv)
+            for i in range(0, len(stamps), _CHUNK_RECORDS):
+                yield [RmsRecord(ts, 0.0 if (r := level + gauss(0.0, noise)) < 0.0 else r)
+                       for ts in stamps[i:i + _CHUNK_RECORDS]]
             t += seg_s
 
 
@@ -240,10 +250,11 @@ def generate_waveform(
     seed: int = 0,
 ) -> SampleBlock:
     """Raw sine block whose noiseless RMS equals target_rms_amps."""
-    if n_samples <= 0:
-        raise InvalidInputError("n_samples must be positive")
-    if not 2 * mains_hz < sample_rate_hz < math.inf:
-        raise InvalidInputError("sample rate must be finite and above twice mains_hz")
+    if type(n_samples) is not int or n_samples <= 0:
+        raise InvalidInputError("n_samples must be a positive integer")
+    if not 0 < 2 * mains_hz < sample_rate_hz < math.inf:
+        raise InvalidInputError("mains_hz must be positive, and the sample rate "
+                                "finite and above twice mains_hz")
     if not (0 <= target_rms_amps < math.inf and 0 <= noise_std_amps < math.inf):
         raise InvalidInputError("amplitudes must be finite and non-negative")
     rng = DeterministicRng(seed)

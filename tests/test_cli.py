@@ -327,6 +327,12 @@ def test_simulate_memory_does_not_grow_with_trace_length(tmp_path):
     # grows with cycles, not records, so sparse records keep this pair quick
     sparse = ["--interval", "300"]
     assert simulate_peak(140, *sparse) <= 1.1 * simulate_peak(14, *sparse)
+    # nor a whole segment: a 4-day fault, 1,152 records, peaks as a 1-day one
+    def fault_peak(kind, magnitude_s):
+        return simulate_peak(14, *sparse, "--scenario", f"{kind}:345600:{magnitude_s}")
+
+    for kind in ("long_on", "outage"):
+        assert fault_peak(kind, 345600) <= 1.1 * fault_peak(kind, 86400)
 
 
 def test_cli_import_leaves_out_the_numeric_tower():

@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from ampwatch.errors import InvalidInputError
 from ampwatch.evaluation import evaluate, report_kv, report_text
 from ampwatch.event_log import AnomalyEvent, EventKind
 from ampwatch.simulator import GroundTruthLabel, ScenarioKind
@@ -64,6 +66,15 @@ def test_grace_window_edges():
     outside = zev(20_000 + 7201, cycle_start=20_000)
     assert evaluate([inside], [lab], match_grace_s=7200).true_positives == 1
     assert evaluate([outside], [lab], match_grace_s=7200).true_positives == 0
+    assert evaluate([zev(20_000)], [lab], match_grace_s=0).true_positives == 1
+
+
+@pytest.mark.parametrize("grace", [math.nan, -1e9, -1.0, math.inf])
+def test_bad_grace_is_refused(grace):
+    # a NaN or negative grace matches no event, an infinite one matches all
+    lab = label(10_000, 20_000)
+    with pytest.raises(InvalidInputError, match="match_grace_s"):
+        evaluate([zev(20_000)], [lab], match_grace_s=grace)
 
 
 def test_label_consumes_earliest_match_once():

@@ -172,7 +172,7 @@ def test_scenario_kind_text_is_the_member():
 
 def reference_trace(profile, scenarios, duration_s, seed, start):
     """(timestamp, rms.hex()) pairs drawn one record at a time, and the
-    number of planned segments."""
+    planned segments as [first, end) timestamp spans."""
     rng = DeterministicRng(seed)
     cycles = list(simulator._plan_segments(profile, scenarios, duration_s, rng, start, []))
     segments, t = [], 0
@@ -187,7 +187,7 @@ def reference_trace(profile, scenarios, duration_s, seed, start):
             # drawn at zero noise too: gauss(0.0, 0.0) adds a signed zero
             rms = level + rng.gauss(0.0, noise)
             pairs.append((start + t, (0.0 if rms < 0.0 else rms).hex()))
-    return pairs, len(segments)
+    return pairs, [(start + t, start + t + n) for t, n, _ in segments]
 
 
 @given(
@@ -209,11 +209,14 @@ def test_iter_trace_is_generate_trace(seed, start, extra_s, interval_s, noise, f
     segments, labels = iter_trace(profile, scenarios, duration_s, seed, start)
     lists = list(segments)
     records, expected_labels = generate_trace(profile, scenarios, duration_s, seed, start)
-    expected, n_segments = reference_trace(profile, scenarios, duration_s, seed, start)
+    expected, spans = reference_trace(profile, scenarios, duration_s, seed, start)
     assert [(r.timestamp_s, r.rms_amps.hex()) for seg in lists for r in seg] == expected
     assert [(r.timestamp_s, r.rms_amps.hex()) for r in records] == expected
     assert labels == expected_labels
-    assert len(lists) == n_segments
+    # each list is a bounded slice of one planned segment
+    for seg in lists:
+        assert 1 <= len(seg) <= 128
+        assert any(lo <= seg[0].timestamp_s and seg[-1].timestamp_s < hi for lo, hi in spans)
     if noise == 0.5 and faults:
         assert (0.0).hex() in {h for _, h in expected}
 
@@ -404,8 +407,9 @@ class TestWaveform:
     def test_sampling_precondition(self):
         with pytest.raises(InvalidInputError):
             generate_waveform(0.87, 1000, 60.0, 100.0, 0.0, seed=0)
-        with pytest.raises(InvalidInputError):
-            generate_waveform(0.87, 0, 60.0, 6000.0, 0.0, seed=0)
+        for n_samples in (0, 2.5, 100.0, True):
+            with pytest.raises(InvalidInputError, match="n_samples"):
+                generate_waveform(0.87, n_samples, 60.0, 6000.0, 0.0, seed=0)
 
     @pytest.mark.parametrize("args", [
         (math.nan, 100, 60.0, 6000.0, 0.0),
@@ -414,6 +418,8 @@ class TestWaveform:
         (0.87, 100, 60.0, 6000.0, math.inf),
         (0.87, 100, math.nan, 6000.0, 0.0),
         (0.87, 100, 60.0, math.inf, 0.0),
+        (0.87, 100, 0.0, 6000.0, 0.0),
+        (0.87, 100, -60.0, 6000.0, 0.0),
     ])
     def test_non_finite_inputs_rejected(self, args):
         with pytest.raises(InvalidInputError):
