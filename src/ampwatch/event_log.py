@@ -114,16 +114,12 @@ def serialize_record(record: LogRecord) -> str:
 
 
 def parse_record(line: str, line_number: Optional[int] = None) -> LogRecord:
-    """Inverse of serialize_record; raises LogParseError with position info."""
+    """Inverse of serialize_record: convert the five fields, and LogRecord
+    checks the values.  Either failure is a LogParseError at the column it
+    names, and a wrong column count one at the line."""
     fields = line.rstrip("\n").split(",")
     if len(fields) != 5:
         raise LogParseError(f"expected 5 columns, got {len(fields)}", line_number)
-    return _to_record(fields, line_number)
-
-
-def _to_record(fields: List[str], line_number: Optional[int]) -> LogRecord:
-    """Convert one row's five fields; LogRecord checks the values.  Either
-    failure is a LogParseError at the column it names."""
     ts_s, rms_s, z_s, flag_s, kind_s = fields
     try:
         ts = int(ts_s)
@@ -148,24 +144,25 @@ def _to_record(fields: List[str], line_number: Optional[int]) -> LogRecord:
 
 def write_log(records: Iterable[LogRecord], fh: TextIO) -> int:
     """Write the header and ``serialize_record``'s line for each record;
-    returns the record count.  The z text is formatted again only when
-    ``composite_z`` is not the previous record's object (``Monitor.run``
-    keeps one per cycle); identity, as 0.0 == -0.0 but prints differently.
+    returns the record count.  The ``zscore,flag,kind`` tail is formatted
+    again only when ``composite_z`` is not the previous record's object
+    (identity, as 0.0 == -0.0 but prints differently) or the kind, and so
+    the flag, changes.
     A timestamp that ``iter_log`` would refuse raises StreamOrderError.
     """
     write = fh.write
     write(LOG_HEADER + "\n")
     n, last_ts = 0, -math.inf
-    last_z, z_text = None, ""
+    last_z = last_kind = tail = None
     for n, rec in enumerate(records, start=1):
-        ts, z = rec.timestamp_s, rec.composite_z
+        ts, z, kind = rec.timestamp_s, rec.composite_z, rec.event_kind
         if ts <= last_ts:
             raise StreamOrderError(f"timestamp {ts} not after {last_ts}")
         last_ts = ts
-        if z is not last_z:
-            last_z, z_text = z, "" if z is None else f"{z:.4f}"
-        write(f"{ts},{rec.rms_amps:.4f},{z_text},"
-              f"{rec.anomaly_flag},{rec.event_kind._value_}\n")
+        if z is not last_z or kind is not last_kind:
+            last_z, last_kind = z, kind
+            tail = f"{'' if z is None else f'{z:.4f}'},{rec.anomaly_flag},{kind._value_}\n"
+        write(f"{ts},{rec.rms_amps:.4f},{tail}")
     return n
 
 
@@ -191,15 +188,34 @@ def write_trace(records: Iterable[RmsRecord], fh: TextIO) -> int:
 
 
 def iter_log(fh: TextIO) -> Iterator[LogRecord]:
-    """Parse a log file's ``iter_rows`` into records; non-increasing
-    timestamps are rejected.
+    """Parse each non-blank line as ``parse_record`` does (a header on
+    line 1 is skipped); non-increasing timestamps are rejected.  A line's
+    ``zscore,flag,kind`` tail is converted and checked only when its text
+    differs from the previous record's; otherwise that record's z object,
+    flag and kind are reused, and only ts and rms are converted.
     """
     last_ts = -math.inf
-    for i, fields in iter_rows(fh, LOG_HEADER):
-        rec = _to_record(fields, i)
-        if rec.timestamp_s <= last_ts:
-            raise LogParseError(f"timestamp {rec.timestamp_s} not after {last_ts}", i, 1)
-        last_ts = rec.timestamp_s
+    tail = z = flag = kind = None
+    for i, line in enumerate(fh, start=1):
+        try:
+            ts_s, rms_s, text = line.split(",", 2)  # text keeps the newline
+        except ValueError:  # a blank line, or under 5 columns
+            text = ""
+        if text == tail:
+            try:
+                rec = LogRecord(int(ts_s), float(rms_s), z, flag, kind)
+            except ValueError:  # parse_record words the error and finds its column
+                rec = parse_record(line, i)
+        else:
+            line = line.rstrip("\n")
+            if not line or (i == 1 and line == LOG_HEADER):
+                continue
+            rec = parse_record(line, i)
+            tail, z, flag, kind = text, rec.composite_z, rec.anomaly_flag, rec.event_kind
+        ts = rec.timestamp_s
+        if ts <= last_ts:
+            raise LogParseError(f"timestamp {ts} not after {last_ts}", i, 1)
+        last_ts = ts
         yield rec
 
 

@@ -58,8 +58,11 @@ class PipelineConfig:
         if type(self.training_cycles) is not int or self.training_cycles < 2:
             raise InvalidInputError("training_cycles must be an integer of at least 2")
         for f in fields(self):
-            if f.type is float and not 0 < getattr(self, f.name) < math.inf:
+            if (f.type is float and f.name != "match_grace_s"
+                    and not 0 < getattr(self, f.name) < math.inf):
                 raise InvalidInputError(f"{f.name} must be finite and positive")
+        if not 0 <= self.match_grace_s < math.inf:  # evaluate's rule
+            raise InvalidInputError("match_grace_s must be finite and non-negative")
         self.thresholds()
 
     def thresholds(self) -> StateThresholds:

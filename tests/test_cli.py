@@ -13,6 +13,7 @@ import pytest
 
 from ampwatch import cli, event_log, simulator
 from ampwatch.cli import main
+from ampwatch.evaluation import evaluate, report_kv, report_text
 from ampwatch.pipeline import Monitor, PipelineConfig, run_pipeline
 from ampwatch.zscore_model import FEATURE_NAMES, ModelParams
 
@@ -449,6 +450,40 @@ def test_eval_grace_flag_sets_its_field():
     args = cli.build_parser().parse_args(
         ["eval", "--events", "e.csv", "--labels", "l.csv", "--grace", "60"])
     assert cli._load_config(args).match_grace_s == 60.0
+
+
+def _eval_files(tmp_path):
+    """One event on a label's window end, one just past another's."""
+    events, labels = tmp_path / "events.csv", tmp_path / "labels.csv"
+    with open(events, "w") as fh:
+        event_log.write_events([
+            event_log.AnomalyEvent("zscore", 2_000, 3.0, 1, 1_500, 2_000),
+            event_log.AnomalyEvent("watchdog", 11_001, None, 0, 7_000, 11_001)], fh)
+    with open(labels, "w") as fh:
+        simulator.write_labels([simulator.GroundTruthLabel(1_000, 2_000, "door_open"),
+                                simulator.GroundTruthLabel(10_000, 11_000, "power_disruption")],
+                               fh)
+    return ["--events", str(events), "--labels", str(labels)]
+
+
+@pytest.mark.parametrize("flags, config", [(["--grace", "0"], None), ([], '{"match_grace_s": 0}')])
+def test_eval_zero_grace_reports_what_evaluate_reports(tmp_path, capsys, flags, config):
+    files = _eval_files(tmp_path)
+    if config is not None:
+        (tmp_path / "config.json").write_text(config)
+        flags = ["--config", str(tmp_path / "config.json")]
+    report = tmp_path / "report.txt"
+    assert main(["eval", *files, "--report", str(report), *flags]) == 0
+    with open(files[1]) as ev, open(files[3]) as lab:
+        want = evaluate(event_log.read_events(ev), simulator.read_labels(lab), 0)
+    assert (want.true_positives, want.false_positives, want.false_negatives) == (1, 1, 1)
+    assert capsys.readouterr().out == report_text(want) + "\n"
+    assert report.read_text() == report_kv(want)
+
+
+@pytest.mark.parametrize("flags", [["--grace", "-1"], ["--grace", "nan"], ["--grace", "inf"]])
+def test_eval_bad_grace_is_1(tmp_path, flags):
+    assert main(["eval", *_eval_files(tmp_path), *flags]) == 1
 
 
 def test_config_flag_dests_are_pipeline_config_fields():

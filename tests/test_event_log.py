@@ -159,26 +159,122 @@ def test_constructor_accepts_exactly_what_round_trips(ts, rms, z, flag, kind):
 
 def _records_with_z(steps):
     """One record per step; "same" repeats the previous z object, "copy"
-    repeats its value in a new float, anything else is the next z."""
+    repeats its value in a new float, "zscore" or "watchdog" flags the
+    record with that kind and keeps the previous z object (the row that
+    ``Monitor.run`` writes when the watchdog fires mid-OFF-streak),
+    anything else is the next z.  Only a flagging step's record is flagged."""
     z, records = None, []
     for i, step in enumerate(steps):
-        if step == "copy":
+        kind = EventKind.NONE
+        if step in ("zscore", "watchdog"):
+            kind = EventKind(step)
+        elif step == "copy":
             z = None if z is None else float(repr(z))
         elif step != "same":
             z = step
-        records.append(LogRecord(i, 0.07, z, 0, EventKind.NONE))
+        records.append(LogRecord(i, 0.07, z, int(kind is not EventKind.NONE), kind))
     return records
 
 
-@given(st.lists(st.sampled_from(["same", "copy", None, 0.0, -0.0]) | st.floats(-1e3, 1e3)))
+@given(st.lists(st.sampled_from(["same", "copy", "zscore", "watchdog", None, 0.0, -0.0])
+                | st.floats(-1e3, 1e3)))
 @example([0.0, -0.0, "copy", "same", None, 0.5, "copy", None])
 @example([-0.0, "copy", 0.0, "same", -0.0])
+@example([0.5, "watchdog", "same", None, "zscore", "watchdog", "same"])
 @settings(max_examples=300)
 def test_write_log_lines_are_serialize_record(steps):
     records = _records_with_z(steps)
     buf = io.StringIO()
     assert write_log(records, buf) == len(records)
     assert buf.getvalue().splitlines() == [LOG_HEADER] + [serialize_record(r) for r in records]
+
+
+def _parse_each_line(text):
+    """iter_log's contract, line by line: parse_record on each non-blank
+    line but a header on line 1, then the order check."""
+    records, last_ts = [], -math.inf
+    for i, line in enumerate(io.StringIO(text), start=1):
+        line = line.rstrip("\n")
+        if not line or (i == 1 and line == LOG_HEADER):
+            continue
+        rec = parse_record(line, i)
+        if rec.timestamp_s <= last_ts:
+            raise LogParseError(f"timestamp {rec.timestamp_s} not after {last_ts}", i, 1)
+        last_ts = rec.timestamp_s
+        records.append(rec)
+    return records
+
+
+def _outcome(read, text):
+    try:
+        return [(rec, serialize_record(rec)) for rec in read(text)]  # -0.0 == 0.0
+    except LogParseError as exc:
+        return str(exc), exc.line_number, exc.column
+
+
+LOG_TAILS = ["0.9098,0,none", "0.9098,1,zscore", "0.9098,1,watchdog", ",0,none",
+             ",1,watchdog", "-0.9098,0,none", "0.0000,0,none", "-0.0000,0,none"]
+
+
+@st.composite
+def bad_lines(draw, ts, rms, tail):
+    """A line that breaks one rule, or whose tail is one character off."""
+    how = draw(st.sampled_from(["ts", "rms", "4 columns", "6 columns",
+                                "sign", "case", "flag", "off by one"]))
+    z, flag, kind = tail.split(",")
+    if how == "sign":  # +0.9098 is read as 0.9098, +,0,none is refused
+        return f"{ts},{rms},+{tail}"
+    if how == "case":
+        return f"{ts},{rms},{z},{flag},{kind.upper()}"
+    if how == "flag":
+        return f"{ts},{rms},{z},{1 - int(flag)},{kind}"
+    if how == "ts":
+        return f"{draw(st.sampled_from(['x', '1.5', '', '1e3']))},{rms},{tail}"
+    if how == "rms":
+        return f"{ts},{draw(st.sampled_from(['x', '', '-0.5000', 'nan', 'inf']))},{tail}"
+    if how == "4 columns":
+        return f"{ts},{rms},{tail.rsplit(',', 1)[0]}"
+    if how == "6 columns":
+        return f"{ts},{rms},{tail},none"
+    j = draw(st.integers(0, len(tail)))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    c = draw(st.sampled_from("+-.,019neNE"))
+    tail = tail[:j] + ("" if edit == "delete" else c) + tail[j + (edit != "insert"):]
+    return f"{ts},{rms},{tail}"
+
+
+@st.composite
+def log_texts(draw):
+    """Runs of one tail, the tail changing at event rows, an optional
+    header, blank lines, a missing final newline, a timestamp now and then
+    out of order, and a bad line now and then right after a run."""
+    lines = [LOG_HEADER] if draw(st.booleans()) else []
+    ts = 1_700_000_000
+    for tail in draw(st.lists(st.sampled_from(LOG_TAILS), max_size=5)):
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.integers(0, 7)) == 0:
+                lines.append("")
+            ts += draw(st.sampled_from([30, 30, 30, 30, 30, 30, 1, 0, -30]))
+            lines.append(f"{ts},{draw(st.integers(0, 99_999)) / 10_000:.4f},{tail}")
+        if draw(st.integers(0, 2)) == 0:
+            ts += 30
+            lines.append(draw(bad_lines(ts, "0.8700", tail)))
+    text = "\n".join(lines)
+    return text + "\n" if lines and draw(st.booleans()) else text
+
+
+@given(log_texts())
+@example("1,0.5000,0.9098,0,none\n2,0.5000,0.9098,0,none\n3,0.5000,+0.9098,0,none\n"
+         "4,0.5000,0.9098,0,none")
+@example("1,0.5000,0.9098,0,none\n2,0.5000,0.9098,0,NONE\n")
+@example("1,0.5000,0.9098,0,none\n2,0.5000,0.9098,1,none\n")
+@example("1,0.5000,0.9098,0,none\n\n2,0.5000,0.9098,1,zscore\n3,0.5000,0.9098,0,none")
+@settings(max_examples=300)
+def test_iter_log_is_parse_record_line_by_line(text):
+    # the same records, or the same first error at the same line and column
+    want = _outcome(_parse_each_line, text)
+    assert _outcome(lambda t: list(iter_log(io.StringIO(t))), text) == want
+    assert _outcome(lambda t: read_log(io.StringIO(t)), text) == want
 
 
 def test_write_log_memory_does_not_grow_with_record_count():

@@ -137,9 +137,12 @@ def test_config_validation():
         PipelineConfig(z_threshold=0)
     for bad in ({"training_cycles": 2.5}, {"training_cycles": True},
                 {"sigma_min": float("nan")}, {"match_grace_s": float("inf")},
+                {"match_grace_s": float("nan")}, {"match_grace_s": -1.0},
                 {"on_enter_amps": 0.2, "off_enter_amps": 0.2}):
         with pytest.raises(InvalidInputError):
             PipelineConfig(**bad)
+    # evaluate's rule: a zero grace matches only inside a label's window
+    assert PipelineConfig(match_grace_s=0).match_grace_s == 0
 
 
 def test_profile_reports_state_size_and_budget():
