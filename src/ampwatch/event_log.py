@@ -191,10 +191,14 @@ def iter_log(fh: TextIO) -> Iterator[LogRecord]:
     """Parse each non-blank line as ``parse_record`` does (a header on
     line 1 is skipped); non-increasing timestamps are rejected.  A line's
     ``zscore,flag,kind`` tail is converted and checked only when its text
-    differs from the previous record's; otherwise that record's z object,
-    flag and kind are reused, and only ts and rms are converted.
+    differs from the previous record's; otherwise that record's checked z
+    object, flag and kind are reused, and only ts and rms are converted.
+    Such a line's record is built without a second call into ``__init__``
+    once ``int`` and ``float`` take ts and rms and the rms is in [0, inf),
+    LogRecord's remaining checks; any other line goes to ``parse_record``.
     """
-    last_ts = -math.inf
+    new, inf = object.__new__, math.inf
+    last_ts = -inf
     tail = z = flag = kind = None
     for i, line in enumerate(fh, start=1):
         try:
@@ -203,8 +207,17 @@ def iter_log(fh: TextIO) -> Iterator[LogRecord]:
             text = ""
         if text == tail:
             try:
-                rec = LogRecord(int(ts_s), float(rms_s), z, flag, kind)
-            except ValueError:  # parse_record words the error and finds its column
+                ts, rms = int(ts_s), float(rms_s)
+            except ValueError:
+                rms = math.nan
+            if 0 <= rms < inf:
+                rec = new(LogRecord)
+                rec.timestamp_s = ts
+                rec.rms_amps = rms
+                rec.composite_z = z
+                rec.anomaly_flag = flag
+                rec.event_kind = kind
+            else:  # parse_record words the error and finds its column
                 rec = parse_record(line, i)
         else:
             line = line.rstrip("\n")

@@ -19,7 +19,6 @@ from .cycle_tracker import (
     CycleTracker,
     StateThresholds,
     WatchdogConfig,
-    check_watchdog,
 )
 from .errors import InsufficientTrainingError, InvalidInputError
 from .evaluation import DEFAULT_MATCH_GRACE_S
@@ -41,7 +40,7 @@ from .zscore_model import (
 # score+detect calls per clock-read pair in profile_inference
 PROFILE_BATCH = 100
 # Enum members read once here: through the class, each read costs ~0.15 us
-_OFF, _NO_EVENT = CompressorState.OFF, EventKind.NONE
+_OFF, _NO_EVENT, _WATCHDOG = CompressorState.OFF, EventKind.NONE, EventKind.WATCHDOG
 
 
 @dataclass
@@ -104,9 +103,14 @@ class Monitor:
         increase, so that is the one whose predecessor was not past it.
         State is written back on every record, so a run may be left
         part-consumed and the stream continued by another ``run``.
+
+        A no-event record that passes LogRecord's checks (int timestamp, rms
+        in [0, inf), z None or finite) is built without a second call into
+        ``__init__``; any other goes through the constructor.
         """
-        tracker, watchdog = self.tracker, self.config.watchdog()
-        ingest, off_limit_s = tracker.ingest, watchdog.off_limit_s
+        tracker = self.tracker
+        ingest, off_limit_s = tracker.ingest, self.config.watchdog().off_limit_s
+        new, inf, isfinite = object.__new__, math.inf, math.isfinite
         prev_ts = tracker.last_timestamp_s
         for record in records:
             features = ingest(record)
@@ -116,15 +120,24 @@ class Monitor:
                 event = self._close_cycle(features, ts)
             elif (tracker.state is _OFF and ts - tracker.off_since_s > off_limit_s
                   and not prev_ts - tracker.off_since_s > off_limit_s):
-                event = check_watchdog(ts, tracker.off_since_s, watchdog, False,
-                                       self.detector.streak)
+                event = AnomalyEvent(kind=_WATCHDOG, detected_at_s=ts, composite=None,
+                                     streak=self.detector.streak,
+                                     cycle_start_s=tracker.off_since_s, cycle_end_s=ts)
             prev_ts = ts
-            z_col = self.last_composite
-            if event is None:
-                yield LogRecord(ts, record.rms_amps, z_col, 0, _NO_EVENT)
-            else:
+            z, rms = self.last_composite, record.rms_amps
+            if event is not None:
                 events.append(event)
-                yield LogRecord(ts, record.rms_amps, z_col, 1, event.kind)
+                yield LogRecord(ts, rms, z, 1, event.kind)
+            elif type(ts) is int and 0 <= rms < inf and (z is None or isfinite(z)):
+                rec = new(LogRecord)
+                rec.timestamp_s = ts
+                rec.rms_amps = rms
+                rec.composite_z = z
+                rec.anomaly_flag = 0
+                rec.event_kind = _NO_EVENT
+                yield rec
+            else:
+                yield LogRecord(ts, rms, z, 0, _NO_EVENT)
 
     def _close_cycle(self, features: CycleFeatures, ts: int) -> Optional[AnomalyEvent]:
         """Train on, or score and detect, the cycle that record ``ts``

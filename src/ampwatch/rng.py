@@ -54,23 +54,33 @@ class DeterministicRng:
         return lo + (hi - lo) * self.random()
 
     def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        if self._spare is not None:
-            z = self._spare
+        return next(self.gausses(mu, sigma))
+
+    def gausses(self, mu: float = 0.0, sigma: float = 1.0):
+        """Endless Gaussian draws, the one Box-Muller implementation.
+        ``_state`` and ``_spare`` are written back before each yield, so a
+        dropped stream leaves the rng where ``gauss`` would.  Nothing else
+        may draw from the rng while a stream is in use."""
+        z = self._spare
+        if z is not None:
             self._spare = None
-            return mu + sigma * z
-        # Box-Muller over two inlined random() draws; u1 must be nonzero
+            yield mu + sigma * z
         x = self._state
-        u1 = 0.0
-        while u1 == 0.0:
+        sqrt, log, cos, sin, two_pi = math.sqrt, math.log, math.cos, math.sin, 2.0 * math.pi
+        while True:  # Box-Muller over two inlined random() draws; u1 must be nonzero
+            u1 = 0.0
+            while u1 == 0.0:
+                x ^= x >> 12
+                x ^= (x << 25) & _MASK
+                x ^= x >> 27
+                u1 = (((x * 0x2545F4914F6CDD1D) & _MASK) >> 11) * (2.0 ** -53)
             x ^= x >> 12
             x ^= (x << 25) & _MASK
             x ^= x >> 27
-            u1 = (((x * 0x2545F4914F6CDD1D) & _MASK) >> 11) * (2.0 ** -53)
-        x ^= x >> 12
-        x ^= (x << 25) & _MASK
-        x ^= x >> 27
-        self._state = x
-        u2 = (((x * 0x2545F4914F6CDD1D) & _MASK) >> 11) * (2.0 ** -53)
-        r = math.sqrt(-2.0 * math.log(u1))
-        self._spare = r * math.sin(2.0 * math.pi * u2)
-        return mu + sigma * r * math.cos(2.0 * math.pi * u2)
+            u2 = (((x * 0x2545F4914F6CDD1D) & _MASK) >> 11) * (2.0 ** -53)
+            r = sqrt(-2.0 * log(u1))
+            self._state = x
+            self._spare = z = r * sin(two_pi * u2)
+            yield mu + sigma * r * cos(two_pi * u2)
+            self._spare = None
+            yield mu + sigma * z

@@ -210,19 +210,35 @@ _CHUNK_RECORDS = 128
 
 
 def _sample_segments(profile, cycles, duration_s, rng, start):
+    """Records in slices of at most ``_CHUNK_RECORDS``, with noise from
+    one ``rng.gausses`` stream.  A clamped rms below inf passes RmsRecord's
+    check, so that record is built without a second call into ``__init__``;
+    any other goes through the constructor, which refuses it."""
     iv = profile.record_interval_s
     # cycles tile [0, >= duration_s) on the iv lattice, so each
     # segment's records are exactly its own range
     end = start + int(duration_s // iv) * iv
-    noise = profile.rms_noise_amps
-    gauss = rng.gauss
+    noise = rng.gausses(0.0, profile.rms_noise_amps)
+    new, inf = object.__new__, math.inf
     t = start
     for on_s, on_level, off_s in cycles:
         for seg_s, level in ((on_s, on_level), (off_s, profile.off_rms_amps)):
             stamps = range(t, min(t + seg_s, end), iv)
             for i in range(0, len(stamps), _CHUNK_RECORDS):
-                yield [RmsRecord(ts, 0.0 if (r := level + gauss(0.0, noise)) < 0.0 else r)
-                       for ts in stamps[i:i + _CHUNK_RECORDS]]
+                chunk = []
+                append = chunk.append
+                # zip takes the stamp first: the slice's end draws nothing
+                for ts, g in zip(stamps[i:i + _CHUNK_RECORDS], noise):
+                    v = level + g
+                    if v < 0.0:
+                        v = 0.0
+                    if v < inf:
+                        rec = new(RmsRecord)
+                        rec.timestamp_s, rec.rms_amps = ts, v
+                        append(rec)
+                    else:
+                        append(RmsRecord(ts, v))
+                yield chunk
             t += seg_s
 
 
@@ -257,14 +273,14 @@ def generate_waveform(
                                 "finite and above twice mains_hz")
     if not (0 <= target_rms_amps < math.inf and 0 <= noise_std_amps < math.inf):
         raise InvalidInputError("amplitudes must be finite and non-negative")
-    rng = DeterministicRng(seed)
+    noise = DeterministicRng(seed).gausses(0.0, noise_std_amps)
     amplitude = target_rms_amps * math.sqrt(2.0)
     w = 2.0 * math.pi * mains_hz / sample_rate_hz
     samples = []
     for i in range(n_samples):
         s = amplitude * math.sin(w * i)
         if noise_std_amps > 0:
-            s += rng.gauss(0.0, noise_std_amps)
+            s += next(noise)
         samples.append(s)
     return SampleBlock(samples=tuple(samples), sample_rate_hz=sample_rate_hz)
 

@@ -277,6 +277,19 @@ def test_iter_log_is_parse_record_line_by_line(text):
     assert _outcome(lambda t: read_log(io.StringIO(t)), text) == want
 
 
+@pytest.mark.parametrize("rms", ["nan", "-1", "inf"])
+def test_iter_log_refuses_a_bad_rms_right_after_a_run_of_one_tail(rms):
+    """The line repeats its predecessor's tail, so only ts and rms are
+    converted; the rms that LogRecord would refuse goes to parse_record."""
+    bad = f"3,{rms},0.9098,0,none"
+    with pytest.raises(LogParseError) as want:
+        parse_record(bad, 3)
+    text = f"1,0.5000,0.9098,0,none\n2,0.5000,0.9098,0,none\n{bad}\n"
+    with pytest.raises(LogParseError) as got:
+        list(iter_log(io.StringIO(text)))
+    assert (str(got.value), got.value.line_number, got.value.column) == (str(want.value), 3, 2)
+
+
 def test_write_log_memory_does_not_grow_with_record_count():
     def peak(n):
         # a new composite object every 150 records, as cycle closes give

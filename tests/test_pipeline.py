@@ -1,13 +1,14 @@
 import io
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ampwatch.cycle_tracker import CompressorState, CycleTracker, check_watchdog, classify_state
+from ampwatch.cycle_tracker import CompressorState, CycleTracker, classify_state
 from ampwatch.errors import InsufficientTrainingError, InvalidInputError
-from ampwatch.event_log import AnomalyEvent, EventKind, LogRecord
+from ampwatch.event_log import EventKind, LogRecord
 from ampwatch.pipeline import Monitor, PipelineConfig, profile_inference, run_pipeline
 from ampwatch.simulator import (
     AnomalyScenario,
@@ -16,15 +17,7 @@ from ampwatch.simulator import (
     generate_trace,
 )
 from ampwatch.signal_core import RmsRecord
-from ampwatch.zscore_model import (
-    DetectorState,
-    FeatureStats,
-    ModelParams,
-    detect,
-    finalize,
-    score,
-    train_update,
-)
+from ampwatch.zscore_model import ModelParams
 
 DAY = 86_400.0
 
@@ -163,78 +156,6 @@ def test_profile_times_every_trial_in_batches():
         assert 0 < summary["min_s"] <= summary["median_s"] <= summary["p99_s"]
 
 
-class ReferenceMonitor:
-    """Monitor.run, one record at a time, as a plain reading of the spec:
-    the tracker's branches spelled out with classify_state, check_watchdog
-    on every OFF record, and a keyword-built LogRecord."""
-
-    def __init__(self, config, model=None):
-        self.config = config
-        self.tracker = CycleTracker(config.thresholds())
-        self.stats = FeatureStats()
-        self.model = model
-        self.detector = DetectorState(threshold=config.z_threshold)
-        self.off_since = None
-        self.wd_fired = False
-        self.last_composite = None
-
-    def ingest(self, record):
-        tracker = self.tracker
-        prev = tracker.state
-        new = classify_state(record.rms_amps, prev, tracker.thresholds)
-        tracker.state = new
-        if prev == CompressorState.OFF and new == CompressorState.ON:
-            tracker.last_cycle_start_s = record.timestamp_s
-            tracker._accumulate(record)
-        elif prev == CompressorState.ON and new == CompressorState.OFF:
-            return tracker._finish_cycle(record)
-        elif new == CompressorState.ON:
-            tracker._accumulate(record)
-        return None
-
-    def step(self, record):
-        features = self.ingest(record)
-        event = None
-        if features is not None:
-            if self.model is None:
-                train_update(self.stats, features)
-                if self.stats.count >= self.config.training_cycles:
-                    self.model = finalize(self.stats, self.config.sigma_min)
-            else:
-                res = score(self.model, features)
-                self.last_composite = res.composite
-                if detect(self.detector, res.composite):
-                    event = AnomalyEvent(
-                        kind=EventKind.ZSCORE,
-                        detected_at_s=record.timestamp_s,
-                        composite=res.composite,
-                        streak=self.detector.streak,
-                        cycle_start_s=self.tracker.last_cycle_start_s,
-                        cycle_end_s=record.timestamp_s,
-                    )
-        if self.tracker.state == CompressorState.OFF:
-            if self.off_since is None:
-                self.off_since = record.timestamp_s
-                self.wd_fired = False
-            wd_event = check_watchdog(record.timestamp_s, self.off_since,
-                                      self.config.watchdog(), self.wd_fired,
-                                      self.detector.streak)
-            if wd_event is not None:
-                self.wd_fired = True
-                event = wd_event
-        else:
-            self.off_since = None
-            self.wd_fired = False
-        log_record = LogRecord(
-            timestamp_s=record.timestamp_s,
-            rms_amps=record.rms_amps,
-            composite_z=self.last_composite,
-            anomaly_flag=0 if event is None else 1,
-            event_kind=EventKind.NONE if event is None else event.kind,
-        )
-        return log_record, event
-
-
 # values on, next to and between the hysteresis thresholds (0.20, 0.45)
 band_rms = st.sampled_from([0.0, 0.07, 0.1999, 0.2, 0.2001, 0.3, 0.4499, 0.45, 0.4501, 0.87])
 
@@ -256,25 +177,6 @@ def record_streams(draw):
 
 PRETRAINED = ModelParams(mean=(0.87, 0.87, 0.005, 0.0, 900.0),
                          std=(0.05, 0.05, 0.005, 1e-4, 600.0), trained_on=50)
-
-
-@given(
-    records=record_streams(),
-    training_cycles=st.integers(2, 4),
-    threshold=st.sampled_from([0.5, 1.0, 2.5]),
-    pretrained=st.booleans(),
-)
-@settings(max_examples=200, deadline=None)
-def test_monitor_run_matches_reference(records, training_cycles, threshold, pretrained):
-    config = PipelineConfig(training_cycles=training_cycles, z_threshold=threshold,
-                            watchdog_off_limit_s=600)
-    model = PRETRAINED if pretrained else None
-    reference = ReferenceMonitor(config, model)
-    stepped = [reference.step(record) for record in records]
-
-    events = []
-    assert list(Monitor(config, model).run(records, events)) == [log for log, _ in stepped]
-    assert events == [event for _, event in stepped if event is not None]
 
 
 @given(records=record_streams())
@@ -346,6 +248,29 @@ def test_watchdog_fires_on_the_record_that_crosses_its_limit():
             split_log = list(itertools.islice(monitor.run(records, split_events), k))
             split_log += monitor.run(records[k:], split_events)
             assert (split_log, split_events) == (log, events), k
+
+
+@pytest.mark.parametrize("bad", ["float timestamp", "nan rms", "inf z"])
+def test_monitor_run_refuses_what_log_record_refuses(bad):
+    """A no-event record that LogRecord would refuse goes through its
+    constructor, so run raises the constructor's message and column: a float
+    timestamp, an rms set to NaN after the record was built, or a non-finite
+    ``last_composite`` (a cycle close stores it before detect refuses it)."""
+    t0 = 1_700_000_000
+    records = [RmsRecord(t0, 0.07), RmsRecord(t0 + 30, 0.07), RmsRecord(t0 + 60, 0.07)]
+    monitor, z = Monitor(PipelineConfig()), None
+    if bad == "float timestamp":
+        records[2] = RmsRecord(t0 + 60.0, 0.07)
+    elif bad == "nan rms":
+        records[2].rms_amps = math.nan
+    else:
+        monitor.last_composite = z = math.inf
+    last = records[2]
+    with pytest.raises(InvalidInputError) as want:
+        LogRecord(last.timestamp_s, last.rms_amps, z, 0, EventKind.NONE)
+    with pytest.raises(InvalidInputError) as got:
+        list(monitor.run(records, []))
+    assert (str(got.value), got.value.column) == (str(want.value), want.value.column)
 
 
 # the whole detector state: a field added to any of these must be listed here

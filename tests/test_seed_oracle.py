@@ -20,6 +20,7 @@ from ampwatch import event_log
 from ampwatch.errors import InsufficientTrainingError
 from ampwatch.pipeline import Monitor, PipelineConfig
 from ampwatch.signal_core import RmsRecord
+from ampwatch.zscore_model import ModelParams
 
 SEED_PACKAGE = Path(__file__).resolve().parents[1] / "bench" / "seed_src" / "ampwatch"
 
@@ -74,6 +75,16 @@ def _seed_files(rows, training_cycles, threshold, limit_s):
     return _written(result.log_records, result.events, result.model, seed.event_log)
 
 
+def _run_in_cuts(monitor, records, cuts, events):
+    """The log of ``monitor`` fed ``records`` by part-consumed runs, each
+    left after the next cut and the stream continued by a new run."""
+    log, start = [], 0
+    for cut in sorted(min(c, len(records)) for c in cuts) + [len(records)]:
+        log += itertools.islice(monitor.run(records[start:], events), cut - start)
+        start = cut
+    return log
+
+
 @given(rows=streams(), training_cycles=st.integers(2, 8), threshold=st.sampled_from([1.0, 2.5]),
        limit_s=st.sampled_from([600.0, 3600.0]), cuts=st.lists(st.integers(0, 2400), max_size=4))
 @settings(max_examples=80, deadline=None)
@@ -84,12 +95,50 @@ def test_monitor_writes_what_the_seed_writes(rows, training_cycles, threshold, l
     records = [RmsRecord(ts, rms) for ts, rms in rows]
     monitor = Monitor(PipelineConfig(training_cycles=training_cycles, z_threshold=threshold,
                                      watchdog_off_limit_s=limit_s))
-    log, events, start = [], [], 0
-    for cut in sorted(min(c, len(records)) for c in cuts) + [len(records)]:
-        log += itertools.islice(monitor.run(records[start:], events), cut - start)
-        start = cut
+    events = []
+    log = _run_in_cuts(monitor, records, cuts, events)
     try:
         got = _written(log, events, monitor.finish(), event_log)
     except InsufficientTrainingError as exc:
         got = str(exc)
     assert got == _seed_files(rows, training_cycles, threshold, limit_s)
+
+
+@st.composite
+def models(draw):
+    """(mean, std) of a pretrained model: one ON level and duration, and a
+    spread that makes the stream's cycles near or far from it."""
+    level = draw(st.sampled_from(ON_SIDE))
+    duration = draw(st.sampled_from([60.0, 600.0, 6000.0]))
+    spread = draw(st.sampled_from([0.01, 0.1, 1.0, 10.0]))
+    return (level, level, 0.01, 0.0, duration), (spread, spread, spread, spread / 100, duration)
+
+
+def _record_fields(log_records):
+    return [(r.timestamp_s, r.rms_amps.hex(),
+             None if r.composite_z is None else r.composite_z.hex(),
+             r.anomaly_flag, r.event_kind.value) for r in log_records]
+
+
+def _event_fields(events):
+    return [(e.kind.value, e.detected_at_s, None if e.composite is None else e.composite.hex(),
+             e.streak, e.cycle_start_s, e.cycle_end_s) for e in events]
+
+
+@given(rows=streams(), model=models(), threshold=st.sampled_from([1.0, 2.5]),
+       limit_s=st.sampled_from([600.0, 3600.0]), cuts=st.lists(st.integers(0, 2400), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_pretrained_monitor_yields_the_seeds_records(rows, model, threshold, limit_s, cuts):
+    """With a pretrained model, every record that part-consumed Monitor runs
+    yield equals the seed's run_pipeline record field by field (timestamp,
+    rms and z bits, flag, kind text), and every event equals the seed's."""
+    mean, std = model
+    monitor = Monitor(PipelineConfig(z_threshold=threshold, watchdog_off_limit_s=limit_s),
+                      ModelParams(mean, std, 50))
+    events = []
+    log = _run_in_cuts(monitor, [RmsRecord(ts, rms) for ts, rms in rows], cuts, events)
+    want = seed.run_pipeline(
+        seed.PipelineConfig(z_threshold=threshold, watchdog_off_limit_s=limit_s),
+        [seed.RmsRecord(ts, rms) for ts, rms in rows], seed.ModelParams(mean, std, 50))
+    assert _record_fields(log) == _record_fields(want.log_records)
+    assert _event_fields(events) == _event_fields(want.events)

@@ -11,7 +11,8 @@ from ampwatch.errors import InvalidInputError, InvalidScenarioError
 from ampwatch.pipeline import PipelineConfig, run_pipeline
 from ampwatch import simulator
 from ampwatch.rng import DeterministicRng
-from ampwatch.signal_core import compute_rms
+from ampwatch.event_log import write_trace
+from ampwatch.signal_core import RmsRecord, compute_rms
 from ampwatch.simulator import (
     AnomalyScenario,
     ApplianceProfile,
@@ -212,6 +213,10 @@ def test_iter_trace_is_generate_trace(seed, start, extra_s, interval_s, noise, f
     expected, spans = reference_trace(profile, scenarios, duration_s, seed, start)
     assert [(r.timestamp_s, r.rms_amps.hex()) for seg in lists for r in seg] == expected
     assert [(r.timestamp_s, r.rms_amps.hex()) for r in records] == expected
+    # whole records, so a slot the sampler leaves unset fails too
+    built = [RmsRecord(ts, float.fromhex(rms)) for ts, rms in expected]
+    assert [r for seg in lists for r in seg] == built
+    assert records == built
     assert labels == expected_labels
     # each list is a bounded slice of one planned segment
     for seg in lists:
@@ -219,6 +224,25 @@ def test_iter_trace_is_generate_trace(seed, start, extra_s, interval_s, noise, f
         assert any(lo <= seg[0].timestamp_s and seg[-1].timestamp_s < hi for lo, hi in spans)
     if noise == 0.5 and faults:
         assert (0.0).hex() in {h for _, h in expected}
+
+
+def test_a_negative_zero_off_level_samples_as_zero():
+    """Each noise draw is mu + sigma * z with mu = 0.0, so a zero noise adds
+    +0.0 and an OFF level of -0.0 gives 0.0 records, written as 0.0000."""
+    profile = ApplianceProfile(off_rms_amps=-0.0, rms_noise_amps=0.0)
+    records, _ = generate_trace(profile, [], DAY, seed=3)
+    off = {r.rms_amps.hex() for r in records if r.rms_amps < profile.on_rms_min_amps}
+    assert off == {(0.0).hex()}
+    fh = io.StringIO()
+    write_trace(records, fh)
+    assert "-0.0000" not in fh.getvalue()
+
+
+def test_a_noise_draw_past_the_float_range_is_refused():
+    """1e308 A of noise overflows some draws to inf; RmsRecord refuses it."""
+    profile = ApplianceProfile(rms_noise_amps=1e308)
+    with pytest.raises(InvalidInputError, match="rms_amps must be finite and non-negative"):
+        generate_trace(profile, [], DAY, seed=1)
 
 
 def test_power_disruption_label_and_levels():
@@ -452,15 +476,34 @@ class TestRng:
                     assert rng.uniform(-1.0, 2.0).hex() == ref.rng.uniform(-1.0, 2.0).hex()
                 assert rng.gauss(0.87, 0.005).hex() == ref.gauss(0.87, 0.005).hex()
 
-    def test_gauss_retries_a_zero_uniform(self):
+    @pytest.mark.parametrize("lead, take", [(0, 1000), (0, 6), (0, 7), (1, 1000), (1, 4)])
+    def test_gausses_matches_three_call_reference(self, lead, take):
+        """Call by call: ``lead`` gauss calls (1 leaves a spare for the stream
+        to start on), ``take`` stream draws (an odd total drops the stream
+        mid-pair), then gauss calls that continue where the stream stopped."""
+        for seed in range(3):
+            rng, ref = DeterministicRng(seed), ReferenceGauss(seed)
+            for _ in range(lead):
+                assert rng.gauss(0.87, 0.005).hex() == ref.gauss(0.87, 0.005).hex()
+            stream = rng.gausses(0.87, 0.005)
+            for _ in range(take):
+                assert next(stream).hex() == ref.gauss(0.87, 0.005).hex()
+            del stream
+            assert (rng._state, rng._spare) == (ref.rng._state, ref.spare)
+            for _ in range(5):
+                assert rng.gauss(0.87, 0.005).hex() == ref.gauss(0.87, 0.005).hex()
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_gauss_retries_a_zero_uniform(self, stream):
         # the state whose next xorshift64* output is 1, so random() is 0.0
         x = undo_xorshift(pow(0x2545F4914F6CDD1D, -1, 1 << 64))
         rng, ref = DeterministicRng(0), ReferenceGauss(0)
         rng._state = ref.rng._state = x
         assert ref.rng.random() == 0.0
         ref.rng._state = x
+        draw = rng.gausses().__next__ if stream else rng.gauss
         for _ in range(4):
-            assert rng.gauss().hex() == ref.gauss().hex()
+            assert draw().hex() == ref.gauss().hex()
         assert rng._state == ref.rng._state
 
 
