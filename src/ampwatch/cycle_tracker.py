@@ -161,8 +161,13 @@ class CycleTracker:
         return features
 
     def ingest(self, record: RmsRecord) -> Optional[CycleFeatures]:
-        """Feed one record; returns features when it closes an ON cycle."""
-        ts = record.timestamp_s
+        """Feed one record, checked as LogRecord checks ts and rms before any
+        state is written; returns features when it closes an ON cycle."""
+        ts, rms = record.timestamp_s, record.rms_amps
+        if type(ts) is not int:
+            raise InvalidInputError(f"timestamp_s must be an int, got {ts!r}", 1)
+        if not 0 <= rms < math.inf:
+            raise InvalidInputError("rms_amps must be finite and non-negative", 2)
         if self.last_timestamp_s is None:
             self.off_since_s = ts
         elif ts <= self.last_timestamp_s:
@@ -171,12 +176,12 @@ class CycleTracker:
 
         # classify_state's hysteresis, decided in place
         if self.state is _OFF:
-            if record.rms_amps > self.thresholds.on_enter_amps:
+            if rms > self.thresholds.on_enter_amps:
                 self.state = _ON
                 self.last_cycle_start_s = ts
                 self._accumulate(record)
             return None
-        if record.rms_amps < self.thresholds.off_enter_amps:
+        if rms < self.thresholds.off_enter_amps:
             self.state = _OFF
             return self._finish_cycle(record)
         self._accumulate(record)

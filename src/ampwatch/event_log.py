@@ -254,8 +254,13 @@ def iter_rows(fh: TextIO, header: str) -> Iterator[Tuple[int, List[str]]]:
 
 
 def write_events(events: Iterable[AnomalyEvent], fh: TextIO) -> None:
+    """An event not detected after the one before it raises StreamOrderError."""
     fh.write(EVENTS_HEADER + "\n")
+    last = -math.inf
     for ev in events:
+        if ev.detected_at_s <= last:
+            raise StreamOrderError(f"event at {ev.detected_at_s} not after {last}")
+        last = ev.detected_at_s
         comp = "" if ev.composite is None else f"{ev.composite:.4f}"
         fh.write(
             f"{ev.detected_at_s},{ev.kind.value},{comp},{ev.streak},"
@@ -280,4 +285,6 @@ def read_events(fh: TextIO) -> List[AnomalyEvent]:
             )
         except (ValueError, InvalidInputError) as exc:
             raise LogParseError(f"bad event line: {exc}", i) from None
+        if len(events) > 1 and events[-1].detected_at_s <= events[-2].detected_at_s:
+            raise LogParseError("event not detected after the one before it", i)
     return events

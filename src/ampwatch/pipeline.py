@@ -103,14 +103,12 @@ class Monitor:
         increase, so that is the one whose predecessor was not past it.
         State is written back on every record, so a run may be left
         part-consumed and the stream continued by another ``run``.
-
-        A no-event record that passes LogRecord's checks (int timestamp, rms
-        in [0, inf), z None or finite) is built without a second call into
-        ``__init__``; any other goes through the constructor.
+        ``ingest`` checks each record and ``detect`` each z, so every log
+        record is built without a second call into ``__init__``.
         """
         tracker = self.tracker
-        ingest, off_limit_s = tracker.ingest, self.config.watchdog().off_limit_s
-        new, inf, isfinite = object.__new__, math.inf, math.isfinite
+        ingest, off_limit_s = tracker.ingest, self.config.watchdog_off_limit_s
+        new = object.__new__
         prev_ts = tracker.last_timestamp_s
         for record in records:
             features = ingest(record)
@@ -124,20 +122,16 @@ class Monitor:
                                      streak=self.detector.streak,
                                      cycle_start_s=tracker.off_since_s, cycle_end_s=ts)
             prev_ts = ts
-            z, rms = self.last_composite, record.rms_amps
-            if event is not None:
-                events.append(event)
-                yield LogRecord(ts, rms, z, 1, event.kind)
-            elif type(ts) is int and 0 <= rms < inf and (z is None or isfinite(z)):
-                rec = new(LogRecord)
-                rec.timestamp_s = ts
-                rec.rms_amps = rms
-                rec.composite_z = z
-                rec.anomaly_flag = 0
-                rec.event_kind = _NO_EVENT
-                yield rec
+            rec = new(LogRecord)
+            rec.timestamp_s = ts
+            rec.rms_amps = record.rms_amps
+            rec.composite_z = self.last_composite
+            if event is None:
+                rec.anomaly_flag, rec.event_kind = 0, _NO_EVENT
             else:
-                yield LogRecord(ts, rms, z, 0, _NO_EVENT)
+                events.append(event)
+                rec.anomaly_flag, rec.event_kind = 1, event.kind
+            yield rec
 
     def _close_cycle(self, features: CycleFeatures, ts: int) -> Optional[AnomalyEvent]:
         """Train on, or score and detect, the cycle that record ``ts``
@@ -147,8 +141,10 @@ class Monitor:
             if self.stats.count >= self.config.training_cycles:
                 self.model = finalize(self.stats, self.config.sigma_min)
             return None
-        self.last_composite = composite = score(self.model, features).composite
-        if not detect(self.detector, composite):
+        composite = score(self.model, features).composite
+        anomalous = detect(self.detector, composite)  # refuses a non-finite one
+        self.last_composite = composite
+        if not anomalous:
             return None
         return AnomalyEvent(
             kind=EventKind.ZSCORE,

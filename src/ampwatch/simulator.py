@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
-from .errors import InvalidInputError, InvalidScenarioError, LogParseError
+from .errors import InvalidInputError, InvalidScenarioError, LogParseError, StreamOrderError
 from .event_log import iter_rows
 from .rng import DeterministicRng
 from .signal_core import RmsRecord, SampleBlock
@@ -85,6 +85,9 @@ class ApplianceProfile:
             raise InvalidInputError("jitter fractions must be in [0, 1)")
         if type(self.record_interval_s) is not int or self.record_interval_s <= 0:
             raise InvalidInputError("record_interval_s must be a positive integer")
+        # Box-Muller's u1 >= 2**-53 bounds a draw at sqrt(106 ln 2) < 8.6 sigma
+        if not self.on_rms_max_amps + 9 * self.rms_noise_amps < math.inf:
+            raise InvalidInputError("on_rms_max_amps + 9 * rms_noise_amps must be finite")
 
 
 @dataclass(frozen=True)
@@ -210,16 +213,15 @@ _CHUNK_RECORDS = 128
 
 
 def _sample_segments(profile, cycles, duration_s, rng, start):
-    """Records in slices of at most ``_CHUNK_RECORDS``, with noise from
-    one ``rng.gausses`` stream.  A clamped rms below inf passes RmsRecord's
-    check, so that record is built without a second call into ``__init__``;
-    any other goes through the constructor, which refuses it."""
+    """Records in slices of at most ``_CHUNK_RECORDS``, with noise from one
+    ``rng.gausses`` stream.  ApplianceProfile's noise bound keeps each rms
+    finite, so every record is built without a second call into ``__init__``."""
     iv = profile.record_interval_s
     # cycles tile [0, >= duration_s) on the iv lattice, so each
     # segment's records are exactly its own range
     end = start + int(duration_s // iv) * iv
     noise = rng.gausses(0.0, profile.rms_noise_amps)
-    new, inf = object.__new__, math.inf
+    new = object.__new__
     t = start
     for on_s, on_level, off_s in cycles:
         for seg_s, level in ((on_s, on_level), (off_s, profile.off_rms_amps)):
@@ -232,12 +234,9 @@ def _sample_segments(profile, cycles, duration_s, rng, start):
                     v = level + g
                     if v < 0.0:
                         v = 0.0
-                    if v < inf:
-                        rec = new(RmsRecord)
-                        rec.timestamp_s, rec.rms_amps = ts, v
-                        append(rec)
-                    else:
-                        append(RmsRecord(ts, v))
+                    rec = new(RmsRecord)
+                    rec.timestamp_s, rec.rms_amps = ts, v
+                    append(rec)
                 yield chunk
             t += seg_s
 
@@ -286,8 +285,13 @@ def generate_waveform(
 
 
 def write_labels(labels: Iterable[GroundTruthLabel], fh: TextIO) -> None:
+    """A label starting before the previous one ends raises StreamOrderError."""
     fh.write(LABELS_HEADER + "\n")
+    end = -math.inf
     for lab in labels:
+        if lab.window_start_s < end:
+            raise StreamOrderError(f"label at {lab.window_start_s} starts before {end}")
+        end = lab.window_end_s
         fh.write(f"{lab.window_start_s},{lab.window_end_s},{lab.kind.value}\n")
 
 
@@ -300,4 +304,6 @@ def read_labels(fh: TextIO) -> List[GroundTruthLabel]:
             )
         except (ValueError, InvalidInputError) as exc:
             raise LogParseError(f"bad label line: {exc}", i) from None
+        if len(labels) > 1 and labels[-1].window_start_s < labels[-2].window_end_s:
+            raise LogParseError("label starts before the one before it ends", i)
     return labels

@@ -221,6 +221,7 @@ def test_failed_simulate_leaves_no_output(tmp_path):
 @pytest.mark.parametrize("flags, code", [
     (["--duration-s", "3600", "--noise", "nan"], 2),
     (["--duration-s", "3600", "--noise", "inf"], 2),
+    (["--duration-s", "3600", "--noise", "1e308"], 2),  # a noise draw could overflow
     (["--duration-days", "nan"], 1),
     (["--duration-days", "inf"], 1),
     (["--duration-s", "nan"], 1),

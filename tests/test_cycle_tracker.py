@@ -160,6 +160,24 @@ class TestIngest:
         with pytest.raises(StreamOrderError):
             tracker.ingest(RmsRecord(100, 0.87))
 
+    @pytest.mark.parametrize("ts,rms,column", [
+        (130.0, 0.07, 1), (100.0, 0.07, 1), (True, 0.07, 1),
+        (130, -1.0, 2), (130, float("nan"), 2), (130, float("inf"), 2)])
+    def test_a_refused_record_changes_no_state(self, ts, rms, column):
+        """ts and rms are checked as LogRecord checks them, before the order
+        check and before any state is written: a float timestamp out of
+        order is an InvalidInputError, not a StreamOrderError."""
+        tracker = CycleTracker()
+        tracker.ingest(RmsRecord(70, 0.07))
+        tracker.ingest(RmsRecord(100, 0.87))
+        before = dict(vars(tracker))
+        bad = RmsRecord(130, 0.07)
+        bad.timestamp_s, bad.rms_amps = ts, rms
+        with pytest.raises(InvalidInputError) as exc:
+            tracker.ingest(bad)
+        assert exc.value.column == column
+        assert vars(tracker) == before
+
 
 class TestWatchdog:
     config = WatchdogConfig()

@@ -25,7 +25,7 @@ from ampwatch.event_log import (
     write_trace,
 )
 from ampwatch.signal_core import RmsRecord
-from ampwatch.simulator import LABELS_HEADER, read_labels
+from ampwatch.simulator import LABELS_HEADER, GroundTruthLabel, read_labels, write_labels
 
 
 def test_basic_line():
@@ -459,6 +459,8 @@ LABELS_FILE = LABELS_HEADER + "\n345600,363600,thermostat_long_on\n"
     (read_events, EVENTS_FILE + EVENTS_HEADER + "\n", 3),
     (read_events, EVENTS_FILE + "100,zscore,3.0,-4,50,100\n", 3),
     (read_events, EVENTS_FILE + "100,zscore,3.0,1,50,10\n", 3),
+    (read_events, EVENTS_FILE + "1000,watchdog,,0,500,1000\n", 3),  # not after the last
+    (read_events, EVENTS_FILE + "999,watchdog,,0,500,999\n", 3),
     (read_labels, LABELS_FILE + "604800,605700\n", 3),
     (read_labels, LABELS_FILE + "604800,605700,door_open,1\n", 3),
     (read_labels, LABELS_FILE + "604800,605700,meltdown\n", 3),
@@ -467,6 +469,8 @@ LABELS_FILE = LABELS_HEADER + "\n345600,363600,thermostat_long_on\n"
     (read_labels, LABELS_FILE + "604800,604800,door_open\n", 3),
     (read_labels, "\n" + LABELS_FILE.split("\n", 1)[1] + "\nx,1,door_open\n", 4),
     (read_labels, LABELS_FILE + LABELS_HEADER + "\n", 3),
+    (read_labels, LABELS_FILE + "363599,370000,door_open\n", 3),  # starts before the last ends
+    (read_labels, LABELS_FILE + "100,200,door_open\n", 3),
 ])
 def test_row_readers_reject_bad_lines_with_line_number(read, text, line_number):
     with pytest.raises(LogParseError) as info:
@@ -483,6 +487,23 @@ def test_row_readers_skip_blank_lines_and_take_header_less_files(read, text):
     expected = read(io.StringIO(text))
     assert len(expected) == 1
     assert read(io.StringIO(rows)) == expected
-    assert read(io.StringIO("\n" + rows + "\n\n" + rows)) == expected * 2
+    assert read(io.StringIO("\n" + rows + "\n\n")) == expected
+    with pytest.raises(LogParseError) as info:  # a repeated line is out of order
+        read(io.StringIO("\n" + rows + "\n\n" + rows))
+    assert info.value.line_number == 5
     assert read(io.StringIO("")) == []
     assert read(io.StringIO(header + "\n")) == []
+
+
+def test_event_and_label_writers_refuse_what_their_readers_refuse():
+    """Events in detection order and labels that do not overlap are written
+    and read back; a repeated event or an overlapping label is refused."""
+    event = AnomalyEvent("watchdog", 1000, None, 0, 500, 1000)
+    with pytest.raises(StreamOrderError):
+        write_events([event, event], io.StringIO())
+    labels = [GroundTruthLabel(100, 200, "door_open"), GroundTruthLabel(200, 300, "door_open")]
+    fh = io.StringIO()
+    write_labels(labels, fh)  # a label may start where the one before it ends
+    assert read_labels(io.StringIO(fh.getvalue())) == labels
+    with pytest.raises(StreamOrderError):
+        write_labels([labels[0], GroundTruthLabel(199, 300, "door_open")], io.StringIO())

@@ -250,27 +250,38 @@ def test_watchdog_fires_on_the_record_that_crosses_its_limit():
             assert (split_log, split_events) == (log, events), k
 
 
-@pytest.mark.parametrize("bad", ["float timestamp", "nan rms", "inf z"])
+@pytest.mark.parametrize("bad", ["float timestamp", "nan rms"])
 def test_monitor_run_refuses_what_log_record_refuses(bad):
-    """A no-event record that LogRecord would refuse goes through its
-    constructor, so run raises the constructor's message and column: a float
-    timestamp, an rms set to NaN after the record was built, or a non-finite
-    ``last_composite`` (a cycle close stores it before detect refuses it)."""
+    """A record that LogRecord would refuse is refused by the tracker's
+    ingest with the constructor's message and column: a float timestamp,
+    or an rms set to NaN after the record was built."""
     t0 = 1_700_000_000
     records = [RmsRecord(t0, 0.07), RmsRecord(t0 + 30, 0.07), RmsRecord(t0 + 60, 0.07)]
-    monitor, z = Monitor(PipelineConfig()), None
     if bad == "float timestamp":
         records[2] = RmsRecord(t0 + 60.0, 0.07)
-    elif bad == "nan rms":
-        records[2].rms_amps = math.nan
     else:
-        monitor.last_composite = z = math.inf
+        records[2].rms_amps = math.nan
     last = records[2]
     with pytest.raises(InvalidInputError) as want:
-        LogRecord(last.timestamp_s, last.rms_amps, z, 0, EventKind.NONE)
+        LogRecord(last.timestamp_s, last.rms_amps, None, 0, EventKind.NONE)
     with pytest.raises(InvalidInputError) as got:
-        list(monitor.run(records, []))
+        list(Monitor(PipelineConfig()).run(records, []))
     assert (str(got.value), got.value.column) == (str(want.value), want.value.column)
+
+
+def test_an_overflowing_composite_changes_no_detector_state():
+    """A cycle of rms 1e305 against a model whose rms std is 1e-3 scores an
+    inf composite; detect refuses it, and the composite and streak of the
+    anomalous cycle before it are kept."""
+    model = ModelParams(mean=(0.87, 0.87, 0.005, 0.0, 900.0),
+                        std=(1e-3, 1e-3, 0.005, 1e-4, 600.0), trained_on=50)
+    monitor, events = Monitor(PipelineConfig(), model), []
+    levels = [1.0] * 30 + [0.07] * 30 + [1e305] * 30 + [0.07]
+    records = [RmsRecord(1_700_000_000 + 30 * i, level) for i, level in enumerate(levels)]
+    with pytest.raises(InvalidInputError, match="composite score must be finite"):
+        list(monitor.run(records, events))
+    assert [e.kind for e in events] == [EventKind.ZSCORE]
+    assert (monitor.last_composite, monitor.detector.streak) == (events[0].composite, 1)
 
 
 # the whole detector state: a field added to any of these must be listed here

@@ -9,15 +9,19 @@ under ``bench/`` and nothing on ``sys.path`` changes.
 import importlib.util
 import io
 import itertools
+import math
 import random
+import re
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ampwatch import event_log
-from ampwatch.errors import InsufficientTrainingError
+from ampwatch import event_log, simulator
+from ampwatch.errors import InsufficientTrainingError, InvalidInputError
+from ampwatch.event_log import EventKind, LogRecord
 from ampwatch.pipeline import Monitor, PipelineConfig
 from ampwatch.signal_core import RmsRecord
 from ampwatch.zscore_model import ModelParams
@@ -142,3 +146,101 @@ def test_pretrained_monitor_yields_the_seeds_records(rows, model, threshold, lim
         [seed.RmsRecord(ts, rms) for ts, rms in rows], seed.ModelParams(mean, std, 50))
     assert _record_fields(log) == _record_fields(want.log_records)
     assert _event_fields(events) == _event_fields(want.events)
+
+
+@given(rows=streams(), at=st.integers(0, 2400),
+       bad=st.sampled_from(["float ts", math.nan, -1.0, math.inf]),
+       rms=st.sampled_from(ON_SIDE + OFF_SIDE), training_cycles=st.integers(2, 8),
+       threshold=st.sampled_from([1.0, 2.5]), limit_s=st.sampled_from([600.0, 3600.0]))
+@settings(max_examples=80, deadline=None)
+def test_a_refused_record_changes_nothing(rows, at, bad, rms, training_cycles, threshold, limit_s):
+    """One bad record fed at any point of the stream (a float timestamp, or
+    an rms set to NaN, -1 or inf after building) is refused with LogRecord's
+    message and column and adds no event; the stream continued without it
+    gives the seed's log, events and model bytes for the stream."""
+    records = [RmsRecord(ts, level) for ts, level in rows]
+    k = min(at, len(records))
+    # in order: the timestamp of the record it precedes, or one past the end
+    ts = rows[k][0] if k < len(rows) else rows[-1][0] + 1
+    if bad == "float ts":
+        bad_record = RmsRecord(float(ts), rms)
+    else:
+        bad_record = RmsRecord(ts, rms)
+        bad_record.rms_amps = bad
+    with pytest.raises(InvalidInputError) as want:
+        LogRecord(bad_record.timestamp_s, bad_record.rms_amps, None, 0, EventKind.NONE)
+    monitor = Monitor(PipelineConfig(training_cycles=training_cycles, z_threshold=threshold,
+                                     watchdog_off_limit_s=limit_s))
+    events = []
+    log = list(itertools.islice(monitor.run(records, events), k))
+    events_before = list(events)
+    with pytest.raises(InvalidInputError) as got:
+        next(monitor.run([bad_record], events))
+    assert (str(got.value), got.value.column) == (str(want.value), want.value.column)
+    assert events == events_before
+    log += monitor.run(records[k:], events)
+    try:
+        files = _written(log, events, monitor.finish(), event_log)
+    except InsufficientTrainingError as exc:
+        files = str(exc)
+    assert files == _seed_files(rows, training_cycles, threshold, limit_s)
+
+
+# Where one copy refuses a scenario list the other accepts, the refusal is
+# one of these, each named by the opening words of the CHANGES.md entry
+# that made it.  Refused here, accepted by the seed:
+REFUSED_HERE = {
+    r"a door_open takes no magnitude|overlaps the fault labelled before it":
+        "Faults are checked where they land",
+    r"thermostat_long_on ON of .* must outlast|outage .* must outlast"
+    r"|below duration_s|finds no free cycle":
+        "Lean simulator plan",
+    r"door_open ON of .* must outlast|runs past the end of the trace":
+        "One owner per transition in the pipeline",
+    r"on_rms_max_amps \+ 9 \* rms_noise_amps must be finite":
+        "Each record is checked once, where it enters",
+}
+# accepted here, refused by the seed (its overlap rule read requested windows)
+REFUSED_BY_SEED = {r"scenarios overlap in time": "Faults are checked where they land"}
+
+
+@st.composite
+def scenario_lists(draw):
+    """(days, interval, noise, scenarios): up to 3 faults anywhere in a
+    1-3 day trace, some of them with a magnitude, door_open included."""
+    days = draw(st.integers(1, 3))
+    kinds = st.sampled_from([k.value for k in simulator.ScenarioKind])
+    magnitudes = st.one_of(st.none(), st.sampled_from([900.0, 3000.0, 7200.0, 18000.0]))
+    scenarios = draw(st.lists(
+        st.tuples(kinds, st.floats(0, days * 86400.0, exclude_max=True), magnitudes),
+        max_size=3))
+    noise = draw(st.sampled_from([0.0, 0.005, 0.05, 1.9e307, 3e307]))
+    return days, draw(st.sampled_from([30, 60, 300])), noise, scenarios
+
+
+def _trace(module, days, interval, noise, scenarios, trace_seed):
+    """The trace's records (timestamp, rms bits) and labels, or its refusal."""
+    try:
+        profile = module.ApplianceProfile(record_interval_s=interval, rms_noise_amps=noise)
+        records, labels = module.generate_trace(
+            profile, [module.AnomalyScenario(module.ScenarioKind(kind), start, magnitude)
+                      for kind, start, magnitude in scenarios], days * 86400.0, trace_seed)
+    except (module.InvalidInputError, module.InvalidScenarioError) as exc:
+        return exc
+    return ([(r.timestamp_s, r.rms_amps.hex()) for r in records],
+            [(lab.window_start_s, lab.window_end_s, lab.kind.value) for lab in labels])
+
+
+@given(trace=scenario_lists(), trace_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_generate_trace_gives_the_seeds_trace(trace, trace_seed):
+    """A scenario list both copies accept gives the seed's records and labels
+    bit for bit; one that only one copy accepts is refused by a named rule."""
+    here = _trace(simulator, *trace, trace_seed)
+    there = _trace(seed.simulator, *trace, trace_seed)
+    if isinstance(here, Exception) and not isinstance(there, Exception):
+        assert any(re.search(rule, str(here)) for rule in REFUSED_HERE), here
+    elif isinstance(there, Exception) and not isinstance(here, Exception):
+        assert any(re.search(rule, str(there)) for rule in REFUSED_BY_SEED), there
+    elif not isinstance(here, Exception):
+        assert here == there

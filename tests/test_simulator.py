@@ -239,10 +239,17 @@ def test_a_negative_zero_off_level_samples_as_zero():
 
 
 def test_a_noise_draw_past_the_float_range_is_refused():
-    """1e308 A of noise overflows some draws to inf; RmsRecord refuses it."""
-    profile = ApplianceProfile(rms_noise_amps=1e308)
-    with pytest.raises(InvalidInputError, match="rms_amps must be finite and non-negative"):
-        generate_trace(profile, [], DAY, seed=1)
+    """A Box-Muller draw is at most sqrt(106 ln 2) < 9 sigma, so a profile
+    is refused when it is built if on_rms_max_amps + 9 sigma overflows:
+    5e307 A of noise would overflow a draw partway through a trace."""
+    with pytest.raises(InvalidInputError, match=r"9 \* rms_noise_amps must be finite"):
+        ApplianceProfile(rms_noise_amps=5e307)
+
+
+def test_the_largest_noise_under_the_bound_samples_a_finite_trace():
+    records, _ = generate_trace(ApplianceProfile(rms_noise_amps=1.9e307), [], DAY, seed=1)
+    assert len(records) == DAY // 30
+    assert all(0 <= r.rms_amps < math.inf for r in records)
 
 
 def test_power_disruption_label_and_levels():
