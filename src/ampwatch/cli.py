@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     except InsufficientTrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (AmpwatchError, OSError) as exc:
+    except (AmpwatchError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ flag is 0/1 and must be 1 exactly when kind is not "none".
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
+from typing import Iterable, Iterator, List, Optional, TextIO
 
 from .errors import InvalidInputError, LogParseError, StreamOrderError
 from .signal_core import RmsRecord
@@ -237,54 +237,58 @@ def read_log(fh: TextIO) -> List[LogRecord]:
     return list(iter_log(fh))
 
 
-def iter_rows(fh: TextIO, header: str) -> Iterator[Tuple[int, List[str]]]:
-    """Yield ``(line_number, fields)`` for each non-blank line of a CSV
-    file whose columns are those of ``header``; a header on line 1 is
-    skipped, and a wrong column count raises LogParseError.
-    """
-    n_columns = header.count(",") + 1
-    for i, line in enumerate(fh, start=1):
-        line = line.rstrip("\n")
-        if not line or (i == 1 and line == header):
+def write_rows(rows: Iterable, fh: TextIO, header: str, line, in_order) -> None:
+    """Write ``header``, then ``line(row)`` for each row; a row for which
+    ``in_order(previous_row, row)`` is false raises StreamOrderError."""
+    fh.write(header + "\n")
+    prev = None
+    for row in rows:
+        if prev is not None and not in_order(prev, row):
+            raise StreamOrderError(f"{line(row)!r} is out of order after {line(prev)!r}")
+        fh.write(line(row) + "\n")
+        prev = row
+
+
+def read_rows(fh: TextIO, header: str, build, line, in_order) -> list:
+    """The rows ``build`` makes from each line's fields, with or without the
+    header and final newline, blank lines skipped; a line ``line`` does not
+    write back from its row, or ``in_order`` refuses, raises LogParseError."""
+    rows = []
+    for i, text in enumerate(fh, start=1):
+        text = text.rstrip("\n")
+        if not text or (i == 1 and text == header):
             continue
-        fields = line.split(",")
-        if len(fields) != n_columns:
-            raise LogParseError(f"expected {n_columns} columns, got {len(fields)}", i)
-        yield i, fields
+        try:  # a TypeError is a wrong column count
+            row = build(*text.split(","))
+        except (TypeError, ValueError) as exc:  # InvalidInputError included
+            raise LogParseError(f"bad line {text!r}: {exc}", i) from None
+        if line(row) != text:
+            raise LogParseError(f"line {text!r} is written back as {line(row)!r}", i)
+        if rows and not in_order(rows[-1], row):
+            raise LogParseError(f"{text!r} is out of order after {line(rows[-1])!r}", i)
+        rows.append(row)
+    return rows
+
+
+def _event_line(ev: AnomalyEvent) -> str:
+    comp = "" if ev.composite is None else f"{ev.composite:.4f}"
+    return (f"{ev.detected_at_s},{ev.kind.value},{comp},{ev.streak},"
+            f"{ev.cycle_start_s},{ev.cycle_end_s}")
+
+
+def _event_from_fields(detected_at, kind, composite, streak, cycle_start, cycle_end):
+    return AnomalyEvent(kind, int(detected_at), None if composite == "" else float(composite),
+                        int(streak), int(cycle_start), int(cycle_end))
+
+
+def _event_after(prev: AnomalyEvent, ev: AnomalyEvent) -> bool:
+    return ev.detected_at_s > prev.detected_at_s
 
 
 def write_events(events: Iterable[AnomalyEvent], fh: TextIO) -> None:
     """An event not detected after the one before it raises StreamOrderError."""
-    fh.write(EVENTS_HEADER + "\n")
-    last = -math.inf
-    for ev in events:
-        if ev.detected_at_s <= last:
-            raise StreamOrderError(f"event at {ev.detected_at_s} not after {last}")
-        last = ev.detected_at_s
-        comp = "" if ev.composite is None else f"{ev.composite:.4f}"
-        fh.write(
-            f"{ev.detected_at_s},{ev.kind.value},{comp},{ev.streak},"
-            f"{ev.cycle_start_s},{ev.cycle_end_s}\n"
-        )
+    write_rows(events, fh, EVENTS_HEADER, _event_line, _event_after)
 
 
 def read_events(fh: TextIO) -> List[AnomalyEvent]:
-    events: List[AnomalyEvent] = []
-    for i, fields in iter_rows(fh, EVENTS_HEADER):
-        try:
-            comp = None if fields[2] == "" else float(fields[2])
-            events.append(
-                AnomalyEvent(
-                    kind=fields[1],
-                    detected_at_s=int(fields[0]),
-                    composite=comp,
-                    streak=int(fields[3]),
-                    cycle_start_s=int(fields[4]),
-                    cycle_end_s=int(fields[5]),
-                )
-            )
-        except (ValueError, InvalidInputError) as exc:
-            raise LogParseError(f"bad event line: {exc}", i) from None
-        if len(events) > 1 and events[-1].detected_at_s <= events[-2].detected_at_s:
-            raise LogParseError("event not detected after the one before it", i)
-    return events
+    return read_rows(fh, EVENTS_HEADER, _event_from_fields, _event_line, _event_after)

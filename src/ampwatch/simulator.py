@@ -27,8 +27,8 @@ from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
-from .errors import InvalidInputError, InvalidScenarioError, LogParseError, StreamOrderError
-from .event_log import iter_rows
+from .errors import InvalidInputError, InvalidScenarioError
+from .event_log import read_rows, write_rows
 from .rng import DeterministicRng
 from .signal_core import RmsRecord, SampleBlock
 
@@ -272,8 +272,10 @@ def generate_waveform(
                                 "finite and above twice mains_hz")
     if not (0 <= target_rms_amps < math.inf and 0 <= noise_std_amps < math.inf):
         raise InvalidInputError("amplitudes must be finite and non-negative")
-    noise = DeterministicRng(seed).gausses(0.0, noise_std_amps)
     amplitude = target_rms_amps * math.sqrt(2.0)
+    if not amplitude + 9 * noise_std_amps < math.inf:  # ApplianceProfile's Box-Muller bound
+        raise InvalidInputError("target_rms_amps * sqrt(2) + 9 * noise_std_amps must be finite")
+    noise = DeterministicRng(seed).gausses(0.0, noise_std_amps)
     w = 2.0 * math.pi * mains_hz / sample_rate_hz
     samples = []
     for i in range(n_samples):
@@ -284,26 +286,22 @@ def generate_waveform(
     return SampleBlock(samples=tuple(samples), sample_rate_hz=sample_rate_hz)
 
 
+def _label_line(lab: GroundTruthLabel) -> str:
+    return f"{lab.window_start_s},{lab.window_end_s},{lab.kind.value}"
+
+
+def _label_from_fields(window_start, window_end, kind):
+    return GroundTruthLabel(int(window_start), int(window_end), kind)
+
+
+def _label_after(prev: GroundTruthLabel, lab: GroundTruthLabel) -> bool:
+    return lab.window_start_s >= prev.window_end_s
+
+
 def write_labels(labels: Iterable[GroundTruthLabel], fh: TextIO) -> None:
     """A label starting before the previous one ends raises StreamOrderError."""
-    fh.write(LABELS_HEADER + "\n")
-    end = -math.inf
-    for lab in labels:
-        if lab.window_start_s < end:
-            raise StreamOrderError(f"label at {lab.window_start_s} starts before {end}")
-        end = lab.window_end_s
-        fh.write(f"{lab.window_start_s},{lab.window_end_s},{lab.kind.value}\n")
+    write_rows(labels, fh, LABELS_HEADER, _label_line, _label_after)
 
 
 def read_labels(fh: TextIO) -> List[GroundTruthLabel]:
-    labels: List[GroundTruthLabel] = []
-    for i, fields in iter_rows(fh, LABELS_HEADER):
-        try:
-            labels.append(
-                GroundTruthLabel(int(fields[0]), int(fields[1]), fields[2])
-            )
-        except (ValueError, InvalidInputError) as exc:
-            raise LogParseError(f"bad label line: {exc}", i) from None
-        if len(labels) > 1 and labels[-1].window_start_s < labels[-2].window_end_s:
-            raise LogParseError("label starts before the one before it ends", i)
-    return labels
+    return read_rows(fh, LABELS_HEADER, _label_from_fields, _label_line, _label_after)

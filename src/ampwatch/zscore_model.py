@@ -7,6 +7,7 @@ for each of the five cycle features.  Standard deviations use the
 population form (divide by count).
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, TextIO, Tuple
@@ -16,6 +17,8 @@ from .errors import InsufficientTrainingError, InvalidInputError
 
 FEATURE_NAMES = ("rms_last", "rms_mean", "rms_std", "rms_slope", "duration_on")
 N_FEATURES = len(FEATURE_NAMES)
+# the model text's keys, in line order
+_MODEL_KEYS = ("trained_on", *(f"{s}.{name}" for name in FEATURE_NAMES for s in ("mean", "std")))
 
 DEFAULT_SIGMA_MIN = 1e-6
 DEFAULT_THRESHOLD = 2.5
@@ -34,8 +37,9 @@ def train_update(stats: FeatureStats, features: CycleFeatures) -> FeatureStats:
     """Welford update of all five features from one completed cycle."""
     vec = features.as_vector()
     for x in vec:
-        if not math.isfinite(x):
-            raise InvalidInputError(f"non-finite feature value {x!r}")
+        # below 2**500, each M2 term is below 2**1002: finite for under 2**21 cycles
+        if not abs(x) < 2.0 ** 500:
+            raise InvalidInputError(f"feature value {x!r} is not below 2**500 in magnitude")
     stats.count += 1
     n = stats.count
     for k, x in enumerate(vec):
@@ -65,36 +69,29 @@ class ModelParams:
 
     def to_text(self) -> str:
         """Plain-text key-value block; floats use shortest round-trip repr."""
-        lines = [f"trained_on={self.trained_on}"]
-        for k, name in enumerate(FEATURE_NAMES):
-            lines.append(f"mean.{name}={self.mean[k]!r}")
-            lines.append(f"std.{name}={self.std[k]!r}")
-        return "\n".join(lines) + "\n"
+        values = (self.trained_on, *itertools.chain.from_iterable(zip(self.mean, self.std)))
+        return "".join(f"{key}={value!r}\n" for key, value in zip(_MODEL_KEYS, values))
 
     @classmethod
     def from_text(cls, text: str) -> "ModelParams":
-        kv = {}
-        for raw in text.splitlines():
-            raw = raw.strip()
-            if not raw or raw.startswith("#"):
-                continue
-            if "=" not in raw:
-                raise InvalidInputError(f"bad model line {raw!r}")
-            key, val = (part.strip() for part in raw.split("=", 1))
-            if key in kv:
-                raise InvalidInputError(f"repeated model key {key!r}")
-            kv[key] = val
-        try:
-            trained_on = int(kv.pop("trained_on"))
-            mean = tuple(float(kv.pop(f"mean.{n}")) for n in FEATURE_NAMES)
-            std = tuple(float(kv.pop(f"std.{n}")) for n in FEATURE_NAMES)
-        except KeyError as exc:
-            raise InvalidInputError(f"missing model key {exc}") from None
-        except ValueError as exc:
-            raise InvalidInputError(f"bad model value: {exc}") from None
-        if kv:
-            raise InvalidInputError(f"unexpected model keys {sorted(kv)}")
-        return cls(mean=mean, std=std, trained_on=trained_on)
+        """The model whose ``to_text()`` is ``text``, which may lack its
+        final newline.  Any other text raises InvalidInputError: the
+        values' own check, or one naming the first line that differs from
+        what the model writes."""
+        values = dict(line.partition("=")[::2] for line in text.split("\n"))
+        nums = []
+        for i, key in enumerate(_MODEL_KEYS, 1):
+            try:  # trained_on, the first key, is an int
+                nums.append((float if nums else int)(values[key]))
+            except (KeyError, ValueError):
+                raise InvalidInputError(f"model line {i} should read {key}=<number>") from None
+        model = cls(mean=tuple(nums[1::2]), std=tuple(nums[2::2]), trained_on=nums[0])
+        written = model.to_text()
+        if text != written and text + "\n" != written:
+            lines = itertools.zip_longest(text.splitlines(True), written.splitlines(True))
+            i, got, want = next((i, a, b) for i, (a, b) in enumerate(lines, 1) if a != b)
+            raise InvalidInputError(f"model line {i} is {got!r}; its values write {want!r}")
+        return model
 
     def save(self, fh: TextIO) -> None:
         fh.write(self.to_text())

@@ -633,6 +633,27 @@ class TestExitCodes:
             assert sorted(p.name for p in tmp_path.iterdir()) == [
                 "labels.csv", "trace.csv", "x.csv"]
 
+    def test_a_timestamp_too_large_for_a_float_is_2(self, tmp_path, capsys):
+        """A 401-digit timestamp reaches float arithmetic in the cycle
+        tracker (run) and in evaluate (eval) as an OverflowError."""
+        huge = "1" + "0" * 400
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"1700000000,0.9000,,0,none\n{huge},0.9000,,0,none\n")
+        events, labels = tmp_path / "events.csv", tmp_path / "labels.csv"
+        events.write_text(event_log.EVENTS_HEADER + "\n")
+        labels.write_text(f"{simulator.LABELS_HEADER}\n{huge},{huge}1,door_open\n")
+        outputs = [tmp_path / "log.csv", tmp_path / "run_events.csv", tmp_path / "report.txt"]
+        for argv in (["run", "--trace", str(trace), "--log", str(outputs[0]),
+                      "--events", str(outputs[1])],
+                     ["eval", "--events", str(events), "--labels", str(labels),
+                      "--report", str(outputs[2])]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not any(path.exists() for path in outputs)
+        assert list(tmp_path.glob("*.part")) == []
+
     def test_missing_file_is_2(self, tmp_path):
         r = run_cli(["run", "--trace", str(tmp_path / "nope.csv"),
                      "--log", str(tmp_path / "l"), "--events", str(tmp_path / "e")])
@@ -672,7 +693,7 @@ class TestExitCodes:
         out = tmp_path / "out.csv"
         assert main(["replay", "--log", str(log), "--model", str(model), "--out", str(out)]) == 2
         assert main(["profile", "--trials", "10", "--model", str(model)]) == 2
-        assert capsys.readouterr().err.count("repeated model key 'mean.rms_last'") == 2
+        assert capsys.readouterr().err.count("model line 2 is 'mean.rms_last=1.0\\n'") == 2
         assert not out.exists()
 
     def test_overlapping_scenarios_is_2(self, tmp_path):

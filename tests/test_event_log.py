@@ -25,7 +25,14 @@ from ampwatch.event_log import (
     write_trace,
 )
 from ampwatch.signal_core import RmsRecord
-from ampwatch.simulator import LABELS_HEADER, GroundTruthLabel, read_labels, write_labels
+from ampwatch.simulator import (
+    LABELS_HEADER,
+    GroundTruthLabel,
+    ScenarioKind,
+    read_labels,
+    write_labels,
+)
+from ampwatch.zscore_model import ModelParams
 
 
 def test_basic_line():
@@ -461,6 +468,11 @@ LABELS_FILE = LABELS_HEADER + "\n345600,363600,thermostat_long_on\n"
     (read_events, EVENTS_FILE + "100,zscore,3.0,1,50,10\n", 3),
     (read_events, EVENTS_FILE + "1000,watchdog,,0,500,1000\n", 3),  # not after the last
     (read_events, EVENTS_FILE + "999,watchdog,,0,500,999\n", 3),
+    # accepted and rewritten before the write-back rule
+    (read_events, EVENTS_FILE + "+9000,watchdog,,0,5000,9000\n", 3),
+    (read_events, EVENTS_FILE + "9000,watchdog,,0,5_000,9000\n", 3),
+    (read_events, EVENTS_FILE + "9000,watchdog,, 0,5000,9000\n", 3),
+    (read_events, EVENTS_FILE + "9000,zscore,3.0,1,5000,9000\n", 3),
     (read_labels, LABELS_FILE + "604800,605700\n", 3),
     (read_labels, LABELS_FILE + "604800,605700,door_open,1\n", 3),
     (read_labels, LABELS_FILE + "604800,605700,meltdown\n", 3),
@@ -471,6 +483,8 @@ LABELS_FILE = LABELS_HEADER + "\n345600,363600,thermostat_long_on\n"
     (read_labels, LABELS_FILE + LABELS_HEADER + "\n", 3),
     (read_labels, LABELS_FILE + "363599,370000,door_open\n", 3),  # starts before the last ends
     (read_labels, LABELS_FILE + "100,200,door_open\n", 3),
+    (read_labels, LABELS_FILE + "+604800,605700,door_open\n", 3),
+    (read_labels, LABELS_FILE + "604800,605_700,door_open\n", 3),
 ])
 def test_row_readers_reject_bad_lines_with_line_number(read, text, line_number):
     with pytest.raises(LogParseError) as info:
@@ -507,3 +521,91 @@ def test_event_and_label_writers_refuse_what_their_readers_refuse():
     assert read_labels(io.StringIO(fh.getvalue())) == labels
     with pytest.raises(StreamOrderError):
         write_labels([labels[0], GroundTruthLabel(199, 300, "door_open")], io.StringIO())
+
+
+# Each small file is defined by its writer: a reader accepts a text only if
+# the values it reads are written back as that text, but for the named
+# exceptions (no header on line 1, blank lines, no final newline).
+
+@st.composite
+def one_char_edit(draw, text):
+    """``text`` with one character inserted, deleted or replaced; each line
+    is as likely to be edited as the next, so the header does not dominate."""
+    lines = text.splitlines(keepends=True)
+    n = draw(st.sampled_from(range(len(lines))))
+    i = len("".join(lines[:n])) + draw(st.sampled_from(range(len(lines[n]) + 1)))
+    char = draw(st.sampled_from("0123456789\u0660-+_.e, =\n\r#x"))
+    op = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if op == "insert":
+        return text[:i] + char + text[i:]
+    return text[:i] + (char if op == "replace" else "") + text[i + 1:]
+
+
+@st.composite
+def event_lists(draw):
+    t, events = draw(st.integers(-2**40, 2**40)), []
+    for _ in range(draw(st.integers(1, 3))):
+        t += draw(st.integers(1, 10**6))
+        kind = draw(st.sampled_from(["zscore", "watchdog"]))
+        composite = draw(st.integers(-10**8, 10**8)) / 10_000 if kind == "zscore" else None
+        start = t - draw(st.integers(0, 10**6))
+        events.append(AnomalyEvent(kind, t, composite, draw(st.integers(0, 10**4)),
+                                   start, start + draw(st.integers(0, 2 * 10**6))))
+    return events
+
+
+@st.composite
+def label_lists(draw):
+    t, labels = draw(st.integers(-2**40, 2**40)), []
+    for _ in range(draw(st.integers(1, 3))):
+        start = t + draw(st.integers(0, 10**6))
+        t = start + draw(st.integers(1, 10**6))
+        labels.append(GroundTruthLabel(start, t, draw(st.sampled_from(list(ScenarioKind)))))
+    return labels
+
+
+def written(write, rows):
+    fh = io.StringIO()
+    write(rows, fh)
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("write, read, header, rows", [
+    (write_events, read_events, EVENTS_HEADER, event_lists()),
+    (write_labels, read_labels, LABELS_HEADER, label_lists()),
+])
+@given(data=st.data())
+@settings(max_examples=1000)
+def test_row_readers_accept_only_what_their_writer_writes_back(write, read, header, rows, data):
+    rows = data.draw(rows)
+    text = written(write, rows)
+    assert read(io.StringIO(text)) == rows
+    edited = data.draw(one_char_edit(text))
+    try:
+        back = read(io.StringIO(edited))
+    except LogParseError as exc:
+        assert 1 <= exc.line_number <= edited.count("\n") + 1
+        return
+    lines = edited.split("\n")
+    if lines[0] == header:
+        lines = lines[1:]
+    assert written(write, back) == "".join(line + "\n" for line in [header] + lines if line)
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(model=st.builds(ModelParams, mean=st.tuples(*[FINITE] * 5),
+                       std=st.tuples(*[POSITIVE] * 5), trained_on=st.integers(2, 2**63)),
+       data=st.data())
+@settings(max_examples=300)
+def test_model_reader_accepts_only_what_to_text_writes(model, data):
+    text = model.to_text()
+    assert ModelParams.from_text(text) == model
+    edited = data.draw(one_char_edit(text))
+    try:
+        back = ModelParams.from_text(edited)
+    except InvalidInputError:
+        return
+    assert back.to_text() in (edited, edited + "\n")

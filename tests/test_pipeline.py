@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from ampwatch.cycle_tracker import CompressorState, CycleTracker, classify_state
 from ampwatch.errors import InsufficientTrainingError, InvalidInputError
+from ampwatch import event_log
+from ampwatch.cli import main
 from ampwatch.event_log import EventKind, LogRecord
 from ampwatch.pipeline import Monitor, PipelineConfig, profile_inference, run_pipeline
 from ampwatch.simulator import (
@@ -282,6 +284,28 @@ def test_an_overflowing_composite_changes_no_detector_state():
         list(monitor.run(records, events))
     assert [e.kind for e in events] == [EventKind.ZSCORE]
     assert (monitor.last_composite, monitor.detector.streak) == (events[0].composite, 1)
+
+
+def test_a_cycle_too_large_to_train_on_is_refused_at_its_close(tmp_path):
+    """A normal cycle, a 10-record cycle at 1e200 A, then normal ones: the
+    second cycle is refused where it closes, before a normal cycle after it
+    could overflow the Welford sums, and the statistics keep the first."""
+    levels = [0.87] * 10 + [0.07] * 10 + [1e200] * 10 + [0.07] * 10 + [0.87] * 10 + [0.07]
+    records = [RmsRecord(1_700_000_000 + 30 * i, level) for i, level in enumerate(levels)]
+    config = PipelineConfig(training_cycles=2)
+    before = Monitor(config)
+    list(before.run(records[:30], []))  # up to the record that closes the 1e200 cycle
+    monitor = Monitor(config)
+    with pytest.raises(InvalidInputError, match="2\\*\\*500"):
+        list(monitor.run(records, []))
+    assert monitor.stats == before.stats and monitor.stats.count == 1
+    trace = tmp_path / "trace.csv"
+    with open(trace, "w") as fh:
+        event_log.write_trace(records, fh)
+    outputs = [tmp_path / "log.csv", tmp_path / "events.csv"]
+    assert main(["run", "--trace", str(trace), "--log", str(outputs[0]),
+                 "--events", str(outputs[1]), "--training-cycles", "2"]) == 2
+    assert not any(path.exists() for path in outputs)
 
 
 # the whole detector state: a field added to any of these must be listed here

@@ -451,10 +451,13 @@ class TestWaveform:
         (0.87, 100, 60.0, math.inf, 0.0),
         (0.87, 100, 0.0, 6000.0, 0.0),
         (0.87, 100, -60.0, 6000.0, 0.0),
+        # a draw of up to 9 sigma may overflow: at seed 1, 5e307 built a block
+        (0.87, 100, 60.0, 6000.0, 5e307),
+        (0.87, 100, 60.0, 6000.0, 1e308),
     ])
     def test_non_finite_inputs_rejected(self, args):
         with pytest.raises(InvalidInputError):
-            generate_waveform(*args, seed=0)
+            generate_waveform(*args, seed=1)
 
 
 class TestRng:

@@ -219,29 +219,37 @@ class TestSerialization:
         with pytest.raises(InvalidInputError):
             ModelParams(mean=(0.0,) * 5, std=(1.0,) * 5, trained_on=trained_on)
 
-    @pytest.mark.parametrize("key, value", [
-        ("std.rms_std", "nan"),
-        ("std.rms_std", "inf"),
-        ("mean.rms_mean", "nan"),
-        ("mean.rms_mean", "-inf"),
-        ("mean.rms_mean", "x"),
-        ("trained_on", "-3"),
-        ("trained_on", "1"),
-        ("trained_on", "many"),
+    @pytest.mark.parametrize("key, line, message", [
+        ("std.rms_std", "std.rms_std=nan", "finite"),
+        ("std.rms_std", "std.rms_std=inf", "finite"),
+        ("mean.rms_mean", "mean.rms_mean=nan", "finite"),
+        ("mean.rms_mean", "mean.rms_mean=-inf", "finite"),
+        ("mean.rms_mean", "mean.rms_mean=x", "^model line 4 "),
+        ("trained_on", "trained_on=-3", "at least 2"),
+        ("trained_on", "trained_on=1", "at least 2"),
+        ("trained_on", "trained_on=many", "^model line 1 "),
+        # accepted and rewritten before the write-back rule
+        ("trained_on", "trained_on = 50", "^model line 1 "),
+        ("trained_on", "trained_on=5_0", "^model line 1 "),
+        ("trained_on", "trained_on=+50", "^model line 1 "),
+        ("mean.rms_mean", "mean.rms_mean=2e0", "^model line 4 "),
+        ("std.rms_mean", "std.rms_mean= 0.2", "^model line 5 "),
+        ("trained_on", "\ntrained_on=50", "^model line 1 "),
+        ("mean.rms_std", "# note\nmean.rms_std=3.0", "^model line 6 "),
     ])
-    def test_corrupt_model_text_rejected(self, key, value):
+    def test_corrupt_model_text_rejected(self, key, line, message):
         lines = [
-            f"{key}={value}" if line.split("=")[0] == key else line
-            for line in trained_params().to_text().splitlines()
+            line if old.split("=")[0] == key else old
+            for old in trained_params().to_text().splitlines()
         ]
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=message):
             ModelParams.from_text("\n".join(lines))
 
-    @pytest.mark.parametrize("line", ["mean.rms_last=99.0", " mean.rms_last = 99.0",
-                                      "trained_on=50"])
-    def test_repeated_key_rejected(self, line):
+    @pytest.mark.parametrize("line, line_number", [("mean.rms_last=99.0", 2),
+                                                   (" mean.rms_last = 99.0", 12),
+                                                   ("trained_on=50", 12)])
+    def test_repeated_key_rejected(self, line, line_number):
         # a second line used to replace the first one silently
         text = trained_params().to_text() + line + "\n"
-        key = line.split("=")[0].strip()
-        with pytest.raises(InvalidInputError, match=f"repeated model key '{key}'"):
+        with pytest.raises(InvalidInputError, match=f"^model line {line_number} "):
             ModelParams.from_text(text)
