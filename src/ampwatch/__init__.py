@@ -7,7 +7,6 @@ from .cycle_tracker import (
     StateThresholds,
     WatchdogConfig,
     check_watchdog,
-    classify_state,
 )
 from .errors import (
     AmpwatchError,
@@ -23,7 +22,6 @@ from .event_log import (
     EventKind,
     LogRecord,
     parse_record,
-    serialize_record,
 )
 from .pipeline import Monitor, PipelineConfig, PipelineResult, profile_inference, run_pipeline
 from .signal_core import AdcParams, RmsRecord, SampleBlock, adc_to_amps, compute_rms

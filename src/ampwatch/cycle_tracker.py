@@ -35,8 +35,8 @@ class StateThresholds:
     off_enter_amps: float = 0.20
 
     def __post_init__(self):
-        if not 0 < self.off_enter_amps < self.on_enter_amps:
-            raise InvalidInputError("need 0 < off_enter < on_enter")
+        if not 0 < self.off_enter_amps < self.on_enter_amps < math.inf:
+            raise InvalidInputError("need 0 < off_enter < on_enter < inf")
 
 
 @dataclass(frozen=True)
@@ -68,17 +68,6 @@ class WatchdogConfig:
             raise InvalidInputError("off_limit_s must be finite and positive")
 
 
-def classify_state(
-    rms_amps: float,
-    prev: CompressorState,
-    thresholds: StateThresholds,
-) -> CompressorState:
-    """Hysteresis state update; inside the band the state is held."""
-    if prev is _OFF:
-        return _ON if rms_amps > thresholds.on_enter_amps else _OFF
-    return _OFF if rms_amps < thresholds.off_enter_amps else _ON
-
-
 def check_watchdog(
     now_s: int,
     off_since_s: int,
@@ -90,14 +79,8 @@ def check_watchdog(
     if already_fired:
         return None
     if now_s - off_since_s > config.off_limit_s:
-        return AnomalyEvent(
-            kind=EventKind.WATCHDOG,
-            detected_at_s=now_s,
-            composite=None,
-            streak=streak,
-            cycle_start_s=off_since_s,
-            cycle_end_s=now_s,
-        )
+        return AnomalyEvent(kind=EventKind.WATCHDOG, detected_at_s=now_s, composite=None,
+                            streak=streak, cycle_start_s=off_since_s, cycle_end_s=now_s)
     return None
 
 
@@ -174,7 +157,7 @@ class CycleTracker:
             raise StreamOrderError(f"timestamp {ts} not after {self.last_timestamp_s}")
         self.last_timestamp_s = ts
 
-        # classify_state's hysteresis, decided in place
+        # the hysteresis: inside the band the state is held
         if self.state is _OFF:
             if rms > self.thresholds.on_enter_amps:
                 self.state = _ON

@@ -7,7 +7,8 @@ class AmpwatchError(Exception):
 
 class InvalidInputError(AmpwatchError, ValueError):
     """An operation received a value outside its documented domain;
-    ``column`` is the log column of a refused ``LogRecord`` value."""
+    ``column`` is where the refused value is written: its log column for
+    a ``LogRecord``, its model-text line for a ``ModelParams``."""
 
     def __init__(self, message, column=None):
         self.column = column

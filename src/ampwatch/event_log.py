@@ -6,7 +6,8 @@ Log schema (one line per RMS record, header optional):
 
 timestamp is integer epoch seconds; rms and zscore carry exactly 4
 fractional digits; zscore is empty while the model is still training;
-flag is 0/1 and must be 1 exactly when kind is not "none".
+flag is read from the kind: 1 exactly when kind is not "none", else 0.
+``write_log`` holds the one definition of the line.
 """
 
 import math
@@ -37,13 +38,12 @@ _FLAGS = {"0": 0, "1": 1}
 
 @dataclass(slots=True, init=False)
 class LogRecord:
-    """One log line, holding only what ``serialize_record`` can write back:
-    the kind as a member (its text is accepted), the flag as a plain int."""
+    """One log line, holding only what ``write_log`` can write back: the kind
+    as a member (its text is accepted); the flag, checked, is read from it."""
 
     timestamp_s: int
     rms_amps: float
     composite_z: Optional[float]  # None during the training phase
-    anomaly_flag: int
     event_kind: EventKind
 
     def __init__(self, timestamp_s, rms_amps, composite_z, anomaly_flag, event_kind):
@@ -58,14 +58,16 @@ class LogRecord:
             kind = _KINDS[event_kind]
         except (KeyError, TypeError):
             raise InvalidInputError(f"unknown event_kind {event_kind!r}", 5) from None
-        flag = 0 if kind is _NONE else 1
-        if anomaly_flag != flag:
+        if anomaly_flag != (0 if kind is _NONE else 1):
             raise InvalidInputError("anomaly_flag must be 1 iff event_kind != none", 4)
         self.timestamp_s = timestamp_s
         self.rms_amps = rms_amps
         self.composite_z = composite_z
-        self.anomaly_flag = flag
         self.event_kind = kind
+
+    @property
+    def anomaly_flag(self) -> int:
+        return 0 if self.event_kind is _NONE else 1
 
 
 @dataclass(frozen=True)
@@ -102,21 +104,10 @@ class AnomalyEvent:
             raise InvalidInputError(f"streak must be >= 0, got {self.streak}")
 
 
-def serialize_record(record: LogRecord) -> str:
-    """One CSV line, deterministic formatting, no trailing newline."""
-    z = record.composite_z
-    # _value_ is the member's plain attribute; .value is a slower property
-    return (
-        f"{record.timestamp_s},{record.rms_amps:.4f},"
-        f"{'' if z is None else f'{z:.4f}'},"
-        f"{record.anomaly_flag},{record.event_kind._value_}"
-    )
-
-
 def parse_record(line: str, line_number: Optional[int] = None) -> LogRecord:
-    """Inverse of serialize_record: convert the five fields, and LogRecord
-    checks the values.  Either failure is a LogParseError at the column it
-    names, and a wrong column count one at the line."""
+    """Inverse of ``write_log``'s line: convert the five fields, and
+    LogRecord checks the values.  Either failure is a LogParseError at the
+    column it names, and a wrong column count one at the line."""
     fields = line.rstrip("\n").split(",")
     if len(fields) != 5:
         raise LogParseError(f"expected 5 columns, got {len(fields)}", line_number)
@@ -143,7 +134,7 @@ def parse_record(line: str, line_number: Optional[int] = None) -> LogRecord:
 
 
 def write_log(records: Iterable[LogRecord], fh: TextIO) -> int:
-    """Write the header and ``serialize_record``'s line for each record;
+    """Write the header and each record's line, the only definition of it;
     returns the record count.  The ``zscore,flag,kind`` tail is formatted
     again only when ``composite_z`` is not the previous record's object
     (identity, as 0.0 == -0.0 but prints differently) or the kind, and so
@@ -161,6 +152,7 @@ def write_log(records: Iterable[LogRecord], fh: TextIO) -> int:
         last_ts = ts
         if z is not last_z or kind is not last_kind:
             last_z, last_kind = z, kind
+            # _value_ is the member's plain attribute; .value is a slower property
             tail = f"{'' if z is None else f'{z:.4f}'},{rec.anomaly_flag},{kind._value_}\n"
         write(f"{ts},{rec.rms_amps:.4f},{tail}")
     return n
@@ -192,14 +184,14 @@ def iter_log(fh: TextIO) -> Iterator[LogRecord]:
     line 1 is skipped); non-increasing timestamps are rejected.  A line's
     ``zscore,flag,kind`` tail is converted and checked only when its text
     differs from the previous record's; otherwise that record's checked z
-    object, flag and kind are reused, and only ts and rms are converted.
+    object and kind are reused, and only ts and rms are converted.
     Such a line's record is built without a second call into ``__init__``
     once ``int`` and ``float`` take ts and rms and the rms is in [0, inf),
     LogRecord's remaining checks; any other line goes to ``parse_record``.
     """
     new, inf = object.__new__, math.inf
     last_ts = -inf
-    tail = z = flag = kind = None
+    tail = z = kind = None
     for i, line in enumerate(fh, start=1):
         try:
             ts_s, rms_s, text = line.split(",", 2)  # text keeps the newline
@@ -215,7 +207,6 @@ def iter_log(fh: TextIO) -> Iterator[LogRecord]:
                 rec.timestamp_s = ts
                 rec.rms_amps = rms
                 rec.composite_z = z
-                rec.anomaly_flag = flag
                 rec.event_kind = kind
             else:  # parse_record words the error and finds its column
                 rec = parse_record(line, i)
@@ -224,7 +215,7 @@ def iter_log(fh: TextIO) -> Iterator[LogRecord]:
             if not line or (i == 1 and line == LOG_HEADER):
                 continue
             rec = parse_record(line, i)
-            tail, z, flag, kind = text, rec.composite_z, rec.anomaly_flag, rec.event_kind
+            tail, z, kind = text, rec.composite_z, rec.event_kind
         ts = rec.timestamp_s
         if ts <= last_ts:
             raise LogParseError(f"timestamp {ts} not after {last_ts}", i, 1)

@@ -19,6 +19,7 @@ from .cycle_tracker import (
     CycleTracker,
     StateThresholds,
     WatchdogConfig,
+    check_watchdog,
 )
 from .errors import InsufficientTrainingError, InvalidInputError
 from .evaluation import DEFAULT_MATCH_GRACE_S
@@ -40,7 +41,7 @@ from .zscore_model import (
 # score+detect calls per clock-read pair in profile_inference
 PROFILE_BATCH = 100
 # Enum members read once here: through the class, each read costs ~0.15 us
-_OFF, _NO_EVENT, _WATCHDOG = CompressorState.OFF, EventKind.NONE, EventKind.WATCHDOG
+_OFF, _NO_EVENT = CompressorState.OFF, EventKind.NONE
 
 
 @dataclass
@@ -98,9 +99,9 @@ class Monitor:
         ``timestamp_s`` and ``rms_amps`` are read.
 
         A record either closes a cycle (``_close_cycle``) or may fire the
-        watchdog, never both.  The watchdog fires on the first OFF record
-        more than the limit after the tracker's ``off_since_s``: timestamps
-        increase, so that is the one whose predecessor was not past it.
+        watchdog (``check_watchdog``), never both.  It fires on the first OFF
+        record more than the limit after the tracker's ``off_since_s``:
+        timestamps increase, so that is the one whose predecessor was not.
         State is written back on every record, so a run may be left
         part-consumed and the stream continued by another ``run``.
         ``ingest`` checks each record and ``detect`` each z, so every log
@@ -118,19 +119,19 @@ class Monitor:
                 event = self._close_cycle(features, ts)
             elif (tracker.state is _OFF and ts - tracker.off_since_s > off_limit_s
                   and not prev_ts - tracker.off_since_s > off_limit_s):
-                event = AnomalyEvent(kind=_WATCHDOG, detected_at_s=ts, composite=None,
-                                     streak=self.detector.streak,
-                                     cycle_start_s=tracker.off_since_s, cycle_end_s=ts)
+                # the config is built on firing: held for the run, it raised the CLI's peak
+                event = check_watchdog(ts, tracker.off_since_s, self.config.watchdog(), False,
+                                       self.detector.streak)
             prev_ts = ts
             rec = new(LogRecord)
             rec.timestamp_s = ts
             rec.rms_amps = record.rms_amps
             rec.composite_z = self.last_composite
             if event is None:
-                rec.anomaly_flag, rec.event_kind = 0, _NO_EVENT
+                rec.event_kind = _NO_EVENT
             else:
                 events.append(event)
-                rec.anomaly_flag, rec.event_kind = 1, event.kind
+                rec.event_kind = event.kind
             yield rec
 
     def _close_cycle(self, features: CycleFeatures, ts: int) -> Optional[AnomalyEvent]:
@@ -146,14 +147,9 @@ class Monitor:
         self.last_composite = composite
         if not anomalous:
             return None
-        return AnomalyEvent(
-            kind=EventKind.ZSCORE,
-            detected_at_s=ts,
-            composite=composite,
-            streak=self.detector.streak,
-            cycle_start_s=self.tracker.last_cycle_start_s,
-            cycle_end_s=ts,
-        )
+        return AnomalyEvent(kind=EventKind.ZSCORE, detected_at_s=ts, composite=composite,
+                            streak=self.detector.streak,
+                            cycle_start_s=self.tracker.last_cycle_start_s, cycle_end_s=ts)
 
     def finish(self) -> ModelParams:
         """End of stream: the model, or InsufficientTrainingError."""

@@ -18,6 +18,8 @@ spare value cached.
 
 import math
 
+from .errors import InvalidInputError
+
 _MASK = (1 << 64) - 1
 
 
@@ -32,7 +34,9 @@ class DeterministicRng:
     """xorshift64* stream with uniform and Gaussian helpers."""
 
     def __init__(self, seed: int):
-        state = _splitmix64(int(seed) & _MASK)
+        if type(seed) is not int:  # int() would take 1.5 as seed 1, and "7"
+            raise InvalidInputError(f"seed must be an int, got {seed!r}")
+        state = _splitmix64(seed & _MASK)
         if state == 0:
             state = 0x9E3779B97F4A7C15
         self._state = state

@@ -10,7 +10,7 @@ population form (divide by count).
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, TextIO, Tuple
+from typing import List, TextIO, Tuple
 
 from .cycle_tracker import CycleFeatures
 from .errors import InsufficientTrainingError, InvalidInputError
@@ -60,12 +60,14 @@ class ModelParams:
     def __post_init__(self):
         if len(self.mean) != N_FEATURES or len(self.std) != N_FEATURES:
             raise InvalidInputError("model must hold 5 means and 5 stds")
-        if not all(math.isfinite(v) for v in (*self.mean, *self.std)):
-            raise InvalidInputError("model means and stds must be finite")
-        if any(s <= 0 for s in self.std):
-            raise InvalidInputError("finalized stds must be positive")
+        # in model-text line order; the column is the refused value's line
         if type(self.trained_on) is not int or self.trained_on < 2:
-            raise InvalidInputError("trained_on must be an int of at least 2")
+            raise InvalidInputError("trained_on must be an int of at least 2", 1)
+        for line, v in enumerate(itertools.chain.from_iterable(zip(self.mean, self.std)), 2):
+            if not math.isfinite(v):
+                raise InvalidInputError("model means and stds must be finite", line)
+            if line % 2 and v <= 0:  # a std line
+                raise InvalidInputError("finalized stds must be positive", line)
 
     def to_text(self) -> str:
         """Plain-text key-value block; floats use shortest round-trip repr."""
@@ -75,9 +77,9 @@ class ModelParams:
     @classmethod
     def from_text(cls, text: str) -> "ModelParams":
         """The model whose ``to_text()`` is ``text``, which may lack its
-        final newline.  Any other text raises InvalidInputError: the
-        values' own check, or one naming the first line that differs from
-        what the model writes."""
+        final newline.  Any other text raises InvalidInputError naming a
+        model line: that of a value the model refuses, with the check's
+        words, or else the first line that differs from what it writes."""
         values = dict(line.partition("=")[::2] for line in text.split("\n"))
         nums = []
         for i, key in enumerate(_MODEL_KEYS, 1):
@@ -85,7 +87,10 @@ class ModelParams:
                 nums.append((float if nums else int)(values[key]))
             except (KeyError, ValueError):
                 raise InvalidInputError(f"model line {i} should read {key}=<number>") from None
-        model = cls(mean=tuple(nums[1::2]), std=tuple(nums[2::2]), trained_on=nums[0])
+        try:
+            model = cls(mean=tuple(nums[1::2]), std=tuple(nums[2::2]), trained_on=nums[0])
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"model line {exc.column} is refused: {exc}") from None
         written = model.to_text()
         if text != written and text + "\n" != written:
             lines = itertools.zip_longest(text.splitlines(True), written.splitlines(True))

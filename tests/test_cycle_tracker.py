@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,49 +12,52 @@ from ampwatch.cycle_tracker import (
     StateThresholds,
     WatchdogConfig,
     check_watchdog,
-    classify_state,
 )
 from ampwatch.errors import InvalidInputError, StreamOrderError
 from ampwatch.event_log import EventKind
 from ampwatch.signal_core import RmsRecord
+from seed_copy import seed
 
 ON = CompressorState.ON
 OFF = CompressorState.OFF
 DEFAULTS = StateThresholds()
 
 
+def states(values):
+    """The tracker's state after each rms value, one record every 30 s."""
+    tracker, out = CycleTracker(DEFAULTS), []
+    for i, v in enumerate(values):
+        tracker.ingest(RmsRecord(1_700_000_000 + 30 * i, v))
+        out.append(tracker.state)
+    return out
+
+
 class TestClassifyState:
     def test_on_level_turns_on(self):
-        assert classify_state(0.87, OFF, DEFAULTS) == ON
+        assert states([0.87]) == [ON]
 
     def test_off_level_turns_off(self):
-        assert classify_state(0.07, ON, DEFAULTS) == OFF
+        assert states([0.87, 0.07]) == [ON, OFF]
 
     def test_hysteresis_holds_state(self):
-        assert classify_state(0.30, ON, DEFAULTS) == ON
-        assert classify_state(0.30, OFF, DEFAULTS) == OFF
+        assert states([0.87, 0.30]) == [ON, ON]
+        assert states([0.30]) == [OFF]
 
     def test_boundaries_hold_state(self):
         # strict inequalities on both edges
-        assert classify_state(DEFAULTS.on_enter_amps, OFF, DEFAULTS) == OFF
-        assert classify_state(DEFAULTS.off_enter_amps, ON, DEFAULTS) == ON
+        assert states([DEFAULTS.on_enter_amps]) == [OFF]
+        assert states([0.87, DEFAULTS.off_enter_amps]) == [ON, ON]
 
-    def test_threshold_validation(self):
+    @pytest.mark.parametrize("on, off", [(0.2, 0.4), (math.inf, 0.2)])
+    def test_threshold_validation(self, on, off):
+        # an infinite on_enter held the tracker OFF at any finite rms
         with pytest.raises(InvalidInputError):
-            StateThresholds(on_enter_amps=0.2, off_enter_amps=0.4)
+            StateThresholds(on_enter_amps=on, off_enter_amps=off)
 
     def test_duplicate_records_do_not_change_state_sequence(self):
         rms_seq = [0.07, 0.5, 0.87, 0.3, 0.1, 0.87, 0.07]
-
-        def run(seq):
-            state, out = OFF, []
-            for r in seq:
-                state = classify_state(r, state, DEFAULTS)
-                out.append(state)
-            return out
-
-        plain = run(rms_seq)
-        doubled = run([r for r in rms_seq for _ in range(2)])
+        plain = states(rms_seq)
+        doubled = states([r for r in rms_seq for _ in range(2)])
         assert doubled[1::2] == plain
 
 
@@ -133,13 +137,16 @@ class TestIngest:
         steps, values = zip(*rows)
         stream = list(zip(itertools.accumulate(steps, initial=1_700_000_000), values))
 
-        # the classify_state fold splits the stream; numpy computes each cycle in two passes
-        oracle, state, cycle = [], OFF, []
+        # the seed's classify_state fold splits the stream; numpy computes each
+        # cycle in two passes
+        seed_on = seed.CompressorState.ON
+        thresholds = seed.StateThresholds(DEFAULTS.on_enter_amps, DEFAULTS.off_enter_amps)
+        oracle, state, cycle = [], seed.CompressorState.OFF, []
         for ts, rms in stream:
-            new = classify_state(rms, state, DEFAULTS)
-            if new is ON:
+            new = seed.classify_state(rms, state, thresholds)
+            if new is seed_on:
                 cycle.append((ts, rms))
-            elif state is ON:
+            elif state is seed_on:
                 e = np.array([t - cycle[0][0] for t, _ in cycle], dtype=float)
                 x = np.array([r for _, r in cycle])
                 slope = np.polyfit(e, x, 1)[0] if len(x) >= 2 else 0.0

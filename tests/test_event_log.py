@@ -19,7 +19,6 @@ from ampwatch.event_log import (
     parse_record,
     read_events,
     read_log,
-    serialize_record,
     write_events,
     write_log,
     write_trace,
@@ -33,21 +32,29 @@ from ampwatch.simulator import (
     write_labels,
 )
 from ampwatch.zscore_model import ModelParams
+from seed_copy import seed
+
+
+def line_of(rec):
+    """The line ``write_log`` writes for the one record."""
+    buf = io.StringIO()
+    write_log([rec], buf)
+    return buf.getvalue().split("\n")[1]
 
 
 def test_basic_line():
     rec = LogRecord(1_700_000_000, 0.87, 0.12, 0, EventKind.NONE)
-    assert serialize_record(rec) == "1700000000,0.8700,0.1200,0,none"
+    assert line_of(rec) == "1700000000,0.8700,0.1200,0,none"
 
 
 def test_training_phase_empty_z():
     rec = LogRecord(1_700_000_000, 0.07, None, 0, EventKind.NONE)
-    assert serialize_record(rec) == "1700000000,0.0700,,0,none"
+    assert line_of(rec) == "1700000000,0.0700,,0,none"
 
 
 def test_anomaly_line():
     rec = LogRecord(1_700_000_500, 0.88, 3.1, 1, EventKind.ZSCORE)
-    assert serialize_record(rec) == "1700000500,0.8800,3.1000,1,zscore"
+    assert line_of(rec) == "1700000500,0.8800,3.1000,1,zscore"
 
 
 def test_parse_garbage():
@@ -104,6 +111,20 @@ def test_record_invariant_enforced_at_construction():
     assert LogRecord(0, -0.0, None, 0, EventKind.NONE).rms_amps == 0.0
 
 
+def test_flag_is_read_from_the_kind():
+    assert LogRecord.__slots__ == ("timestamp_s", "rms_amps", "composite_z", "event_kind")
+    rec = LogRecord(1, 0.5, None, 0, "none")
+    rec.event_kind = EventKind.WATCHDOG
+    assert rec.anomaly_flag == 1
+    rec.event_kind = EventKind.NONE
+    assert rec.anomaly_flag == 0
+    with pytest.raises(AttributeError):
+        rec.anomaly_flag = 1
+    with pytest.raises(InvalidInputError) as exc:
+        LogRecord(1, 0.5, None, 1, "none")
+    assert exc.value.column == 4
+
+
 quant = st.integers(0, 10_000_000).map(lambda n: n / 10_000)
 kinds = st.sampled_from([EventKind.NONE, EventKind.ZSCORE, EventKind.WATCHDOG])
 
@@ -124,7 +145,7 @@ def log_records(draw):
 @given(log_records())
 @settings(max_examples=500)
 def test_round_trip_identity(rec):
-    assert parse_record(serialize_record(rec)) == rec
+    assert parse_record(line_of(rec)) == rec
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -157,9 +178,9 @@ def test_constructor_accepts_exactly_what_round_trips(ts, rms, z, flag, kind):
     rec = LogRecord(ts, rms, z, flag, kind)
     assert rec.event_kind is EventKind(kind)
     assert type(rec.anomaly_flag) is int and rec.anomaly_flag == flag
-    line = serialize_record(rec)
+    line = line_of(rec)
     back = parse_record(line)
-    assert serialize_record(back) == line
+    assert line_of(back) == line
     assert (back.timestamp_s, back.anomaly_flag, back.event_kind) == (
         ts, rec.anomaly_flag, rec.event_kind)
 
@@ -190,10 +211,14 @@ def _records_with_z(steps):
 @example([0.5, "watchdog", "same", None, "zscore", "watchdog", "same"])
 @settings(max_examples=300)
 def test_write_log_lines_are_serialize_record(steps):
+    # the seed's serialize_record, on a seed record with the flag set from the kind
     records = _records_with_z(steps)
     buf = io.StringIO()
     assert write_log(records, buf) == len(records)
-    assert buf.getvalue().splitlines() == [LOG_HEADER] + [serialize_record(r) for r in records]
+    want = [seed.event_log.serialize_record(seed.LogRecord(
+        r.timestamp_s, r.rms_amps, r.composite_z, int(r.event_kind is not EventKind.NONE),
+        seed.EventKind(r.event_kind.value))) for r in records]
+    assert buf.getvalue().splitlines() == [LOG_HEADER] + want
 
 
 def _parse_each_line(text):
@@ -214,7 +239,7 @@ def _parse_each_line(text):
 
 def _outcome(read, text):
     try:
-        return [(rec, serialize_record(rec)) for rec in read(text)]  # -0.0 == 0.0
+        return [(rec, line_of(rec)) for rec in read(text)]  # -0.0 == 0.0
     except LogParseError as exc:
         return str(exc), exc.line_number, exc.column
 

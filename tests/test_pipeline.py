@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ampwatch.cycle_tracker import CompressorState, CycleTracker, classify_state
+from ampwatch.cycle_tracker import CycleTracker
 from ampwatch.errors import InsufficientTrainingError, InvalidInputError
 from ampwatch import event_log
 from ampwatch.cli import main
@@ -18,6 +18,7 @@ from ampwatch.simulator import (
     ScenarioKind,
     generate_trace,
 )
+from seed_copy import seed
 from ampwatch.signal_core import RmsRecord
 from ampwatch.zscore_model import ModelParams
 
@@ -184,20 +185,24 @@ PRETRAINED = ModelParams(mean=(0.87, 0.87, 0.005, 0.0, 900.0),
 @given(records=record_streams())
 @settings(deadline=None)
 def test_tracker_state_is_the_classify_state_fold(records):
+    # the seed's classify_state is the reference; its states are its own enum
     tracker = CycleTracker()
-    state = CompressorState.OFF
+    ON, OFF = seed.CompressorState.ON, seed.CompressorState.OFF
+    thresholds = seed.StateThresholds(tracker.thresholds.on_enter_amps,
+                                      tracker.thresholds.off_enter_amps)
+    state = OFF
     for i, record in enumerate(records):
         features = tracker.ingest(record)
-        prev, state = state, classify_state(record.rms_amps, state, tracker.thresholds)
-        assert tracker.state is state
-        if state is CompressorState.ON:
-            if prev is CompressorState.OFF:
+        prev, state = state, seed.classify_state(record.rms_amps, state, thresholds)
+        assert tracker.state.value == state.value
+        if state is ON:
+            if prev is OFF:
                 on_run_start = record.timestamp_s
             assert tracker.last_cycle_start_s == on_run_start
         if features is not None:
             assert features.duration_on_s == record.timestamp_s - on_run_start
-        if state is CompressorState.OFF:
-            if i == 0 or prev is CompressorState.ON:
+        if state is OFF:
+            if i == 0 or prev is ON:
                 off_run_start = record.timestamp_s
             assert tracker.off_since_s == off_run_start
 

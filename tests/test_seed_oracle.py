@@ -1,19 +1,15 @@
 """The frozen seed as the oracle: with no option on, the detector must
 write what the seed commit's code writes, byte for byte.
 
-``bench/seed_src/ampwatch`` holds that code, frozen.  It is loaded here
-under an alias package name, next to the ampwatch under test, so nothing
-under ``bench/`` and nothing on ``sys.path`` changes.
+``bench/seed_src/ampwatch`` holds that code, frozen; ``seed_copy``
+loads it next to the ampwatch under test.
 """
 
-import importlib.util
 import io
 import itertools
 import math
 import random
 import re
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,20 +21,8 @@ from ampwatch.event_log import EventKind, LogRecord
 from ampwatch.pipeline import Monitor, PipelineConfig
 from ampwatch.signal_core import RmsRecord
 from ampwatch.zscore_model import ModelParams
+from seed_copy import seed
 
-SEED_PACKAGE = Path(__file__).resolve().parents[1] / "bench" / "seed_src" / "ampwatch"
-
-
-def _load_seed(alias="ampwatch_seed"):
-    spec = importlib.util.spec_from_file_location(
-        alias, SEED_PACKAGE / "__init__.py", submodule_search_locations=[str(SEED_PACKAGE)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[alias] = package
-    spec.loader.exec_module(package)
-    return package
-
-
-seed = _load_seed()
 
 # levels at, inside and across the 0.20-0.45 A hysteresis band
 ON_SIDE = [0.3, 0.44, 0.46, 0.87, 0.87, 1.5]

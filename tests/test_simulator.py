@@ -466,6 +466,16 @@ class TestRng:
         b = DeterministicRng(123)
         assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
 
+    @pytest.mark.parametrize("seed", [1.5, 7.0, "7", None])
+    def test_non_int_seed_rejected(self, seed):
+        # int(seed) took 1.5 as seed 1's trace and "7" as seed 7's
+        for make in (DeterministicRng,
+                     lambda s: iter_trace(ApplianceProfile(), [], DAY, s),
+                     lambda s: generate_trace(ApplianceProfile(), [], DAY, s),
+                     lambda s: generate_waveform(0.87, 100, noise_std_amps=0.01, seed=s)):
+            with pytest.raises(InvalidInputError, match="seed must be an int"):
+                make(seed)
+
     def test_uniform_range(self):
         rng = DeterministicRng(1)
         vals = [rng.uniform(2.0, 3.0) for _ in range(1000)]

@@ -220,13 +220,14 @@ class TestSerialization:
             ModelParams(mean=(0.0,) * 5, std=(1.0,) * 5, trained_on=trained_on)
 
     @pytest.mark.parametrize("key, line, message", [
-        ("std.rms_std", "std.rms_std=nan", "finite"),
-        ("std.rms_std", "std.rms_std=inf", "finite"),
-        ("mean.rms_mean", "mean.rms_mean=nan", "finite"),
-        ("mean.rms_mean", "mean.rms_mean=-inf", "finite"),
+        ("std.rms_std", "std.rms_std=nan", "^model line 7 .*finite$"),
+        ("std.rms_std", "std.rms_std=inf", "^model line 7 .*finite$"),
+        ("mean.rms_mean", "mean.rms_mean=nan", "^model line 4 .*finite$"),
+        ("mean.rms_mean", "mean.rms_mean=-inf", "^model line 4 .*finite$"),
+        ("std.rms_slope", "std.rms_slope=0.0", "^model line 9 .*positive$"),
         ("mean.rms_mean", "mean.rms_mean=x", "^model line 4 "),
-        ("trained_on", "trained_on=-3", "at least 2"),
-        ("trained_on", "trained_on=1", "at least 2"),
+        ("trained_on", "trained_on=-3", "^model line 1 .*at least 2$"),
+        ("trained_on", "trained_on=1", "^model line 1 .*at least 2$"),
         ("trained_on", "trained_on=many", "^model line 1 "),
         # accepted and rewritten before the write-back rule
         ("trained_on", "trained_on = 50", "^model line 1 "),
