@@ -147,13 +147,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _monitor_log(monitor, src, fh, events) -> int:
+    """Write the log of ``monitor`` over the log or trace ``src`` to ``fh``:
+    each line's ``ts,rms,`` text, checked by the reader, is copied."""
+    prefixes = []
+    records = monitor.run(event_log.iter_log(src, prefixes.append), events)
+    return event_log.write_log(records, fh, prefixes)
+
+
 def _cmd_run(args) -> int:
     monitor = Monitor(_load_config(args))
     events = []
     targets = [args.log, args.events] + ([args.model] if args.model else [])
     with _all_or_nothing(targets) as parts:
         with open(args.trace) as src, open(parts[0], "w") as fh:
-            n_records = event_log.write_log(monitor.run(event_log.iter_log(src), events), fh)
+            n_records = _monitor_log(monitor, src, fh, events)
         model = monitor.finish()
         with open(parts[1], "w") as fh:
             event_log.write_events(events, fh)
@@ -216,7 +224,7 @@ def _cmd_replay(args) -> int:
     events = []
     with _all_or_nothing([args.out]) as (part,):
         with open(args.log) as src, open(part, "w") as fh:
-            n_records = event_log.write_log(monitor.run(event_log.iter_log(src), events), fh)
+            n_records = _monitor_log(monitor, src, fh, events)
         monitor.finish()
     print(f"replayed {n_records} records, "
           f"{len(events)} anomaly events, wrote {args.out}")

@@ -144,8 +144,9 @@ class CycleTracker:
         return features
 
     def ingest(self, record: RmsRecord) -> Optional[CycleFeatures]:
-        """Feed one record, checked as LogRecord checks ts and rms before any
-        state is written; returns features when it closes an ON cycle."""
+        """Feed one record, its ts an int and its rms in [0, inf) (LogRecord's
+        checks and messages, without the log's digit bounds), checked before
+        any state is written; returns features when it closes an ON cycle."""
         ts, rms = record.timestamp_s, record.rms_amps
         if type(ts) is not int:
             raise InvalidInputError(f"timestamp_s must be an int, got {ts!r}", 1)

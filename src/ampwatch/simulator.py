@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .errors import InvalidInputError, InvalidScenarioError
-from .event_log import read_rows, write_rows
+from .event_log import TS_END, read_rows, write_rows
 from .rng import DeterministicRng
 from .signal_core import RmsRecord, SampleBlock
 
@@ -113,8 +113,9 @@ class GroundTruthLabel:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _scenario_kind(self.kind, InvalidInputError))
-        if type(self.window_start_s) is not int or type(self.window_end_s) is not int:
-            raise InvalidInputError("label window bounds must be ints")
+        if any(type(v) is not int or not -TS_END < v < TS_END
+               for v in (self.window_start_s, self.window_end_s)):
+            raise InvalidInputError("label window bounds must be ints of at most 19 digits")
         if self.window_end_s <= self.window_start_s:
             raise InvalidInputError("label window must have positive length")
 

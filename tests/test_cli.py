@@ -634,25 +634,42 @@ class TestExitCodes:
                 "labels.csv", "trace.csv", "x.csv"]
 
     def test_a_timestamp_too_large_for_a_float_is_2(self, tmp_path, capsys):
-        """A 401-digit timestamp reaches float arithmetic in the cycle
-        tracker (run) and in evaluate (eval) as an OverflowError."""
+        """A 401-digit timestamp, which would reach float arithmetic in the
+        cycle tracker (run) and in evaluate (eval) as an OverflowError, and
+        a line that is not the writer's text are refused at their line."""
         huge = "1" + "0" * 400
-        trace = tmp_path / "trace.csv"
+        trace, lenient = tmp_path / "trace.csv", tmp_path / "lenient.csv"
         trace.write_text(f"1700000000,0.9000,,0,none\n{huge},0.9000,,0,none\n")
+        lenient.write_text("1700000000,0.9000,,0,none\n1_700_000_030,+0.9000,,0,none\n")
         events, labels = tmp_path / "events.csv", tmp_path / "labels.csv"
         events.write_text(event_log.EVENTS_HEADER + "\n")
         labels.write_text(f"{simulator.LABELS_HEADER}\n{huge},{huge}1,door_open\n")
         outputs = [tmp_path / "log.csv", tmp_path / "run_events.csv", tmp_path / "report.txt"]
-        for argv in (["run", "--trace", str(trace), "--log", str(outputs[0]),
-                      "--events", str(outputs[1])],
-                     ["eval", "--events", str(events), "--labels", str(labels),
-                      "--report", str(outputs[2])]):
+        for argv, where in (
+                (["run", "--trace", str(trace), "--log", str(outputs[0]),
+                  "--events", str(outputs[1])], "(line 2, column 1)"),
+                (["run", "--trace", str(lenient), "--log", str(outputs[0]),
+                  "--events", str(outputs[1])], "(line 2, column 1)"),
+                (["eval", "--events", str(events), "--labels", str(labels),
+                  "--report", str(outputs[2])], "(line 2)")):
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert captured.err.endswith(where + "\n")
         assert not any(path.exists() for path in outputs)
         assert list(tmp_path.glob("*.part")) == []
+
+    def test_negative_timestamps_are_simulated_run_and_replayed(self, tmp_path):
+        trace, log, again = (tmp_path / name for name in ("trace.csv", "log.csv", "re.csv"))
+        assert main(["simulate", "--duration-days", "1", "--seed", "1", "--start-epoch",
+                     "-100000", "--out", str(trace), "--labels", str(tmp_path / "l.csv")]) == 0
+        assert trace.read_text().split("\n")[1].startswith("-100000,")
+        assert main(["run", "--trace", str(trace), "--log", str(log),
+                     "--events", str(tmp_path / "e.csv"), "--training-cycles", "5"]) == 0
+        assert main(["replay", "--log", str(log), "--out", str(again),
+                     "--training-cycles", "5"]) == 0
+        assert again.read_bytes() == log.read_bytes()
 
     def test_missing_file_is_2(self, tmp_path):
         r = run_cli(["run", "--trace", str(tmp_path / "nope.csv"),

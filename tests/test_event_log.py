@@ -254,7 +254,7 @@ def bad_lines(draw, ts, rms, tail):
     how = draw(st.sampled_from(["ts", "rms", "4 columns", "6 columns",
                                 "sign", "case", "flag", "off by one"]))
     z, flag, kind = tail.split(",")
-    if how == "sign":  # +0.9098 is read as 0.9098, +,0,none is refused
+    if how == "sign":  # +0.9098 is not written back as itself, + is no number
         return f"{ts},{rms},+{tail}"
     if how == "case":
         return f"{ts},{rms},{z},{flag},{kind.upper()}"
@@ -322,6 +322,120 @@ def test_iter_log_refuses_a_bad_rms_right_after_a_run_of_one_tail(rms):
     assert (str(got.value), got.value.line_number, got.value.column) == (str(want.value), 3, 2)
 
 
+HUGE_TS = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("position", [1, 31, 32, 33, 64, 65])
+@pytest.mark.parametrize("bad, column", [
+    ("1_700_000_030,+0.9000,,0,none", 1),
+    (f"{HUGE_TS},0.9000,,0,none", 1),
+    ("10000000000000000000,0.9000,,0,none", 1),
+    (" 1700000030,0.9000,,0,none", 1),
+    ("01700000030,0.9000,,0,none", 1),
+    ("-0,0.9000,,0,none", 1),
+    ("1700000030,+0.9000,,0,none", 2),
+    ("1700000030,0.90000,,0,none", 2),
+    ("1700000030,0.9000 ,,0,none", 2),
+    ("1700000030,0.9e0,,0,none", 2),
+    ("1700000030,\u0660.9000,,0,none", 2),
+    ("1700000030,100000000000.0000,,0,none", 2),
+    ("1700000030,-0.5000,,0,none", 2),
+    ("1700000030,0.9000,+0.9098,0,none", 3),
+    ("1700000030,0.9000,0.90980,0,none", 3),
+    ("1700000030,0.9000,,0,NONE", 5),
+])
+def test_a_bad_line_is_refused_at_its_line_in_any_batch(bad, column, position):
+    """A line the writer does not write is refused with parse_record's
+    error, line and column, wherever it falls in iter_log's batches of 32,
+    among lines whose tail repeats."""
+    with pytest.raises(LogParseError) as want:
+        parse_record(bad, position)
+    assert (want.value.line_number, want.value.column) == (position, column)
+    lines = [f"{1_700_000_000 + 30 * i},0.8700,,0,none" for i in range(1, 70)]
+    lines[position - 1] = bad.replace("1700000030", str(1_700_000_000 + 30 * position))
+    with pytest.raises(LogParseError) as got:
+        read_log(io.StringIO("\n".join(lines) + "\n"))
+    assert (str(got.value), got.value.line_number, got.value.column) == (
+        str(want.value).replace("1700000030", str(1_700_000_000 + 30 * position)),
+        position, column)
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65])
+def test_iter_log_hands_on_each_records_prefix_as_written(n):
+    """The prefix of every record, in order, whether its batch was checked
+    whole or read line by line (a header, a blank line, no final newline)."""
+    records = [LogRecord(1_700_000_000 + 30 * i, i / 10_000, None if i < 5 else 0.5, 0, "none")
+               for i in range(n)]
+    text = io.StringIO()
+    write_log(records, text)
+    lines = text.getvalue().split("\n")
+    for blank_at in (None, n // 2 + 1):
+        edited = lines[:blank_at] + [""] + lines[blank_at:] if blank_at else lines
+        prefixes = []
+        back = list(iter_log(io.StringIO("\n".join(edited).rstrip("\n")), prefixes.append))
+        assert back == records
+        assert prefixes == [line.rsplit(",", 3)[0] + "," for line in lines[1:-1]]
+
+
+def test_write_log_copies_the_prefixes_iter_log_hands_on():
+    """Given the prefixes, write_log copies them in front of each tail; a
+    log read and written again this way is written byte for byte."""
+    records = [LogRecord(-100_000 + 30 * i, 0.87, None if i < 40 else 1.25, 0, "none")
+               for i in range(70)]
+    text = io.StringIO()
+    write_log(records, text)
+    prefixes, again = [], io.StringIO()
+    assert write_log(iter_log(io.StringIO(text.getvalue()), prefixes.append), again,
+                     prefixes) == 70
+    assert again.getvalue() == text.getvalue()
+    # the copy is taken as it is: the records' own ts and rms are not written
+    prefixes = ["1,2.0000,"]
+    write_log([LogRecord(5, 0.5, None, 0, "none")], again, prefixes)
+    assert again.getvalue().endswith(LOG_HEADER + "\n1,2.0000,,0,none\n")
+
+
+def test_the_writers_write_only_what_the_grammar_reads():
+    """Negative timestamps and -0.0 are written and read back as
+    themselves; a timestamp of 20 digits and an rms written with 12 integer
+    digits are refused where they enter and by both writers."""
+    largest = 99999999999.99994  # written as 99999999999.9999
+    records = [LogRecord(-(10**19 - 1), -0.0, -0.0, 0, "none"),
+               LogRecord(-5, largest, None, 0, "none"),
+               LogRecord(10**19 - 1, 0.0, None, 0, "none")]
+    log, trace = io.StringIO(), io.StringIO()
+    write_log(records, log)
+    write_trace([RmsRecord(r.timestamp_s, r.rms_amps) for r in records], trace)
+    for text in (log.getvalue(), trace.getvalue()):
+        assert written(write_log, read_log(io.StringIO(text))) == text
+    assert line_of(records[0]) == "-9999999999999999999,-0.0000,-0.0000,0,none"
+    assert line_of(records[1]) == "-5,99999999999.9999,,0,none"
+    for ts, rms, column, match in [(10**19, 0.5, 1, "19 digits"), (-10**19, 0.5, 1, "19 digits"),
+                                   (0, 99999999999.99995, 2, "below"), (0, 1e15, 2, "below")]:
+        with pytest.raises(InvalidInputError, match=match) as exc:
+            LogRecord(ts, rms, None, 0, "none")
+        assert exc.value.column == column
+        with pytest.raises(InvalidInputError, match=match):
+            write_trace([RmsRecord(ts, rms)], io.StringIO())
+        rec = LogRecord(0, 0.5, None, 0, "none")
+        rec.timestamp_s, rec.rms_amps = ts, rms  # the slots are not checked
+        with pytest.raises(InvalidInputError, match=match):
+            write_log([rec], io.StringIO())
+
+
+@pytest.mark.parametrize("read, text", [
+    (read_events, EVENTS_HEADER + "\n1000,zscore,3.1234,1,500,1000\n"
+                  f"{HUGE_TS},watchdog,,0,5000,{HUGE_TS}\n"),
+    (read_events, "1000,zscore,3.1234,1,500,1000\n"
+                  "10000000000000000000,watchdog,,0,5000,9000\n"),
+    (read_labels, LABELS_HEADER + f"\n345600,363600,door_open\n{HUGE_TS},{HUGE_TS}1,door_open\n"),
+    (read_labels, "345600,363600,door_open\n-10000000000000000000,0,door_open\n"),
+])
+def test_row_readers_refuse_an_int_of_20_digits_at_its_line(read, text):
+    with pytest.raises(LogParseError, match="19 digits") as exc:
+        read(io.StringIO(text))
+    assert exc.value.line_number == text.count("\n")
+
+
 def test_write_log_memory_does_not_grow_with_record_count():
     def peak(n):
         # a new composite object every 150 records, as cycle closes give
@@ -339,7 +453,8 @@ def test_write_log_memory_does_not_grow_with_record_count():
     assert peak(40_000) <= peak(4_000) + 1024
 
 
-RMS_EDGES = st.sampled_from([0.0, -0.0, 5e-05, 0.00015, 5e-324, 1e15])
+# 99999999999.99994 is the largest rms written with 11 integer digits
+RMS_EDGES = st.sampled_from([0.0, -0.0, 5e-05, 0.00015, 5e-324, 99999999999.99994])
 
 
 @given(st.lists(st.tuples(st.integers(-2**40, 2**40), RMS_EDGES | st.floats(0, 10)),
@@ -430,7 +545,9 @@ def test_event_invariants():
     AnomalyEvent(EventKind.ZSCORE, 1000, 2.0, 0, 1000, 1000)
 
 
-EVENT_INTS = st.integers(-2**40, 2**40) | NOT_INTS
+# the log's integer bound: at most 19 digits
+EVENT_INTS = st.integers(-2**40, 2**40) | st.sampled_from(
+    [10**19 - 1, -(10**19 - 1), 10**19, -10**19]) | NOT_INTS
 
 
 @given(
@@ -449,7 +566,7 @@ def test_event_constructor_accepts_exactly_what_round_trips(
     ints = (detected, streak, start, end)
     valid = (kind in ("zscore", "watchdog") and (composite is None) == (kind == "watchdog")
              and (composite is None or math.isfinite(composite))
-             and all(type(t) is int for t in ints) and detected >= start
+             and all(type(t) is int and abs(t) < 10**19 for t in ints) and detected >= start
              and end >= start and streak >= 0)
     if not valid:
         with pytest.raises(InvalidInputError):
@@ -581,7 +698,7 @@ def event_lists(draw):
 
 @st.composite
 def label_lists(draw):
-    t, labels = draw(st.integers(-2**40, 2**40)), []
+    t, labels = draw(st.integers(-2**40, 2**40) | st.just(-(10**19 - 1))), []
     for _ in range(draw(st.integers(1, 3))):
         start = t + draw(st.integers(0, 10**6))
         t = start + draw(st.integers(1, 10**6))
@@ -595,9 +712,25 @@ def written(write, rows):
     return fh.getvalue()
 
 
+@st.composite
+def log_lists(draw):
+    """Up to 40 records, so that an edit lands in any of two batches of
+    iter_log's; timestamps from either side of zero, the edge rms values."""
+    ts, records = draw(st.integers(-2**40, 2**40)), []
+    for _ in range(draw(st.integers(1, 40))):
+        ts += draw(st.sampled_from([1, 30, 30, 30, 10**6]))
+        rms = draw(st.sampled_from([-0.0, 99999999999.9999]) | st.integers(0, 99_999).map(
+            lambda n: n / 10_000))
+        kind = draw(kinds)
+        z = draw(st.none() | st.just(-0.0) | st.integers(-10**8, 10**8).map(lambda n: n / 10_000))
+        records.append(LogRecord(ts, rms, z, int(kind is not EventKind.NONE), kind))
+    return records
+
+
 @pytest.mark.parametrize("write, read, header, rows", [
     (write_events, read_events, EVENTS_HEADER, event_lists()),
     (write_labels, read_labels, LABELS_HEADER, label_lists()),
+    (write_log, read_log, LOG_HEADER, log_lists()),
 ])
 @given(data=st.data())
 @settings(max_examples=1000)

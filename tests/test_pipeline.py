@@ -304,9 +304,11 @@ def test_a_cycle_too_large_to_train_on_is_refused_at_its_close(tmp_path):
     with pytest.raises(InvalidInputError, match="2\\*\\*500"):
         list(monitor.run(records, []))
     assert monitor.stats == before.stats and monitor.stats.count == 1
+    with pytest.raises(InvalidInputError, match="rms_amps must be below"):
+        event_log.write_trace(records, io.StringIO())
+    # the line the writer once wrote for it is refused at its line
     trace = tmp_path / "trace.csv"
-    with open(trace, "w") as fh:
-        event_log.write_trace(records, fh)
+    trace.write_text("".join(f"{r.timestamp_s},{r.rms_amps:.4f},,0,none\n" for r in records))
     outputs = [tmp_path / "log.csv", tmp_path / "events.csv"]
     assert main(["run", "--trace", str(trace), "--log", str(outputs[0]),
                  "--events", str(outputs[1]), "--training-cycles", "2"]) == 2

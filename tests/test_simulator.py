@@ -126,7 +126,8 @@ def test_iter_trace_rejects_bad_input_when_called(no_planner, duration_s, scenar
         iter_trace(ApplianceProfile(), scenarios, duration_s, seed=0, start_timestamp_s=start)
 
 
-@pytest.mark.parametrize("start, end", [(1.5, 2.5), (1.0, 2), (1, 2.0), (True, 2), ("1", "2")])
+@pytest.mark.parametrize("start, end", [(1.5, 2.5), (1.0, 2), (1, 2.0), (True, 2), ("1", "2"),
+                                        (-10**19, 0), (0, 10**19)])  # the log's 19 digits
 def test_label_window_bounds_must_be_ints(start, end):
     # (1.5, 2.5) was written as "1.5,2.5,door_open", which read_labels refused
     with pytest.raises(InvalidInputError):
