@@ -146,11 +146,16 @@ def parse_record(line: str, line_number: Optional[int] = None) -> LogRecord:
     their grammar, the five fields convert, LogRecord checks the values, and
     the tail must be written back as itself.  A failure is a LogParseError
     at the column it names, and a wrong column count one at the line."""
+    return _parse(line, line_number, _PREFIX.match(line))
+
+
+def _parse(line: str, line_number: Optional[int], prefix_ok) -> LogRecord:
+    """``parse_record``, told whether the line matches ``_PREFIX``."""
     fields = line.rstrip("\n").split(",")
     if len(fields) != 5:
         raise LogParseError(f"expected 5 columns, got {len(fields)}", line_number)
     ts_s, rms_s, z_s, flag_s, kind_s = fields
-    if not _PREFIX.match(line):
+    if not prefix_ok:
         if not _PREFIX.match(ts_s + ",0.0000,"):
             raise LogParseError(f"bad timestamp {ts_s!r}", line_number, 1)
         raise LogParseError(f"bad rms {rms_s!r}", line_number, 2)
@@ -237,10 +242,10 @@ def iter_log(fh: TextIO, on_prefix: Optional[Callable[[str], None]] = None
     slow pipe, for up to 31 later lines.
     A batch whose every line is whole and opens with a canonical ``ts,rms,``
     (one regex call) is read by tail: a line's ``zscore,flag,kind`` text is
-    checked by ``parse_record`` only when it differs from the previous
-    line's, and otherwise that record's z object and kind are reused, only
-    ts and rms converted, and the record built without a call into
-    ``__init__``.  Any other batch goes line by line through ``parse_record``.
+    checked as ``parse_record`` does, without a second prefix match, only
+    when it differs from the previous line's, and otherwise that record's
+    z object and kind are reused, only ts and rms converted, and the record
+    built without a call into ``__init__``.  Any other batch goes line by line through ``parse_record``.
     ``on_prefix``, if given, is called with each record's ``ts,rms,`` text
     just before the record is yielded (see ``write_log``'s ``prefixes``).
     """
@@ -265,7 +270,7 @@ def iter_log(fh: TextIO, on_prefix: Optional[Callable[[str], None]] = None
                 rec.composite_z = z
                 rec.event_kind = kind
             else:
-                rec = parse_record(line, i)
+                rec = _parse(line, i, checked or _PREFIX.match(line))
                 ts = rec.timestamp_s
                 if text:
                     tail, z, kind = text, rec.composite_z, rec.event_kind

@@ -12,8 +12,8 @@ pair produces the same trace on any machine.  The stream is xorshift64*
     xorshift64*:    x ^= x >> 12; x ^= x << 25; x ^= x >> 27
                     output = x * 0x2545F4914F6CDD1D
 
-Uniform doubles take the top 53 bits; Gaussians use Box-Muller with the
-spare value cached.
+Uniform doubles take the top 53 bits; Gaussians use Box-Muller, two
+draws from each pair of uniforms.
 """
 
 import math
@@ -21,6 +21,9 @@ import math
 from .errors import InvalidInputError
 
 _MASK = (1 << 64) - 1
+
+# |draw - mu| < GAUSS_BOUND * sigma, as u1 >= 2**-53 bounds it at sqrt(106 ln 2) < 8.6
+GAUSS_BOUND = 9
 
 
 def _splitmix64(x):
@@ -30,8 +33,17 @@ def _splitmix64(x):
     return x ^ (x >> 31)
 
 
+def _uniforms(x):
+    """Endless uniform doubles in [0, 1), from state ``x`` on."""
+    while True:
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK
+        x ^= x >> 27
+        yield (((x * 0x2545F4914F6CDD1D) & _MASK) >> 11) * (2.0 ** -53)
+
+
 class DeterministicRng:
-    """xorshift64* stream with uniform and Gaussian helpers."""
+    """One xorshift64* stream with uniform and Gaussian helpers."""
 
     def __init__(self, seed: int):
         if type(seed) is not int:  # int() would take 1.5 as seed 1, and "7"
@@ -39,52 +51,20 @@ class DeterministicRng:
         state = _splitmix64(seed & _MASK)
         if state == 0:
             state = 0x9E3779B97F4A7C15
-        self._state = state
-        self._spare = None
-
-    def next_u64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x ^= (x << 25) & _MASK
-        x ^= x >> 27
-        self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK
-
-    def random(self) -> float:
-        """Uniform double in [0, 1) with 53 bits of entropy."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+        self._u = _uniforms(state)
 
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
-    def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        return next(self.gausses(mu, sigma))
+        return lo + (hi - lo) * next(self._u)
 
     def gausses(self, mu: float = 0.0, sigma: float = 1.0):
-        """Endless Gaussian draws, the one Box-Muller implementation.
-        ``_state`` and ``_spare`` are written back before each yield, so a
-        dropped stream leaves the rng where ``gauss`` would.  Nothing else
-        may draw from the rng while a stream is in use."""
-        z = self._spare
-        if z is not None:
-            self._spare = None
-            yield mu + sigma * z
-        x = self._state
+        """Endless Gaussian draws, two from each pair of uniforms, a zero u1
+        redrawn; a stream dropped mid-pair drops the pair's second draw."""
+        u = self._u
         sqrt, log, cos, sin, two_pi = math.sqrt, math.log, math.cos, math.sin, 2.0 * math.pi
-        while True:  # Box-Muller over two inlined random() draws; u1 must be nonzero
-            u1 = 0.0
+        for u1, u2 in zip(u, u):
             while u1 == 0.0:
-                x ^= x >> 12
-                x ^= (x << 25) & _MASK
-                x ^= x >> 27
-                u1 = (((x * 0x2545F4914F6CDD1D) & _MASK) >> 11) * (2.0 ** -53)
-            x ^= x >> 12
-            x ^= (x << 25) & _MASK
-            x ^= x >> 27
-            u2 = (((x * 0x2545F4914F6CDD1D) & _MASK) >> 11) * (2.0 ** -53)
+                u1, u2 = u2, next(u)
             r = sqrt(-2.0 * log(u1))
-            self._state = x
-            self._spare = z = r * sin(two_pi * u2)
+            z = r * sin(two_pi * u2)
             yield mu + sigma * r * cos(two_pi * u2)
-            self._spare = None
             yield mu + sigma * z

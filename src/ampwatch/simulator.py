@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .errors import InvalidInputError, InvalidScenarioError
 from .event_log import TS_END, read_rows, write_rows
-from .rng import DeterministicRng
+from .rng import GAUSS_BOUND, DeterministicRng
 from .signal_core import RmsRecord, SampleBlock
 
 LABELS_HEADER = "window_start,window_end,kind"
@@ -85,9 +85,9 @@ class ApplianceProfile:
             raise InvalidInputError("jitter fractions must be in [0, 1)")
         if type(self.record_interval_s) is not int or self.record_interval_s <= 0:
             raise InvalidInputError("record_interval_s must be a positive integer")
-        # Box-Muller's u1 >= 2**-53 bounds a draw at sqrt(106 ln 2) < 8.6 sigma
-        if not self.on_rms_max_amps + 9 * self.rms_noise_amps < math.inf:
-            raise InvalidInputError("on_rms_max_amps + 9 * rms_noise_amps must be finite")
+        if not self.on_rms_max_amps + GAUSS_BOUND * self.rms_noise_amps < math.inf:
+            raise InvalidInputError(
+                f"on_rms_max_amps + {GAUSS_BOUND} * rms_noise_amps must be finite")
 
 
 @dataclass(frozen=True)
@@ -274,8 +274,9 @@ def generate_waveform(
     if not (0 <= target_rms_amps < math.inf and 0 <= noise_std_amps < math.inf):
         raise InvalidInputError("amplitudes must be finite and non-negative")
     amplitude = target_rms_amps * math.sqrt(2.0)
-    if not amplitude + 9 * noise_std_amps < math.inf:  # ApplianceProfile's Box-Muller bound
-        raise InvalidInputError("target_rms_amps * sqrt(2) + 9 * noise_std_amps must be finite")
+    if not amplitude + GAUSS_BOUND * noise_std_amps < math.inf:
+        raise InvalidInputError(
+            f"target_rms_amps * sqrt(2) + {GAUSS_BOUND} * noise_std_amps must be finite")
     noise = DeterministicRng(seed).gausses(0.0, noise_std_amps)
     w = 2.0 * math.pi * mains_hz / sample_rate_hz
     samples = []

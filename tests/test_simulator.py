@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,9 @@ from ampwatch.simulator import (
     generate_waveform,
     iter_trace,
 )
+from seed_copy import seed as seed_package
+
+SeedRng = seed_package.rng.DeterministicRng
 
 DAY = 86_400.0
 
@@ -175,7 +179,7 @@ def test_scenario_kind_text_is_the_member():
 def reference_trace(profile, scenarios, duration_s, seed, start):
     """(timestamp, rms.hex()) pairs drawn one record at a time, and the
     planned segments as [first, end) timestamp spans."""
-    rng = DeterministicRng(seed)
+    rng = SeedRng(seed)
     cycles = list(simulator._plan_segments(profile, scenarios, duration_s, rng, start, []))
     segments, t = [], 0
     for on_s, level, off_s in cycles:
@@ -462,10 +466,15 @@ class TestWaveform:
 
 
 class TestRng:
+    """The stream is the seed copy's, value for value: ``SeedRng.gauss``
+    calls, ``uniform`` calls between them included, are what a
+    ``gausses`` stream and the same ``uniform`` calls return."""
+
     def test_reproducible(self):
         a = DeterministicRng(123)
         b = DeterministicRng(123)
-        assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
+        draws = [(a.uniform(0.0, 1.0), b.uniform(0.0, 1.0)) for _ in range(10)]
+        assert all(x == y for x, y in draws)
 
     @pytest.mark.parametrize("seed", [1.5, 7.0, "7", None])
     def test_non_int_seed_rejected(self, seed):
@@ -483,79 +492,64 @@ class TestRng:
         assert all(2.0 <= v < 3.0 for v in vals)
         assert 2.4 < np.mean(vals) < 2.6
 
-    def test_gauss_moments(self):
-        rng = DeterministicRng(2)
-        vals = np.array([rng.gauss(5.0, 2.0) for _ in range(20_000)])
+    def test_gausses_moments(self):
+        vals = np.array(list(itertools.islice(DeterministicRng(2).gausses(5.0, 2.0), 20_000)))
         assert np.mean(vals) == pytest.approx(5.0, abs=0.1)
         assert np.std(vals) == pytest.approx(2.0, abs=0.1)
 
-    def test_gauss_matches_three_call_reference(self):
-        for seed in range(5):
-            rng, ref = DeterministicRng(seed), ReferenceGauss(seed)
-            for i in range(100_000):
-                if i % 7 == 0:
-                    assert rng.uniform(-1.0, 2.0).hex() == ref.rng.uniform(-1.0, 2.0).hex()
-                assert rng.gauss(0.87, 0.005).hex() == ref.gauss(0.87, 0.005).hex()
-
-    @pytest.mark.parametrize("lead, take", [(0, 1000), (0, 6), (0, 7), (1, 1000), (1, 4)])
-    def test_gausses_matches_three_call_reference(self, lead, take):
-        """Call by call: ``lead`` gauss calls (1 leaves a spare for the stream
-        to start on), ``take`` stream draws (an odd total drops the stream
-        mid-pair), then gauss calls that continue where the stream stopped."""
-        for seed in range(3):
-            rng, ref = DeterministicRng(seed), ReferenceGauss(seed)
+    @pytest.mark.parametrize("lead, take", [(0, 1000), (0, 6), (0, 7), (3, 1000), (5, 4), (1, 1)])
+    def test_uniforms_then_a_stream_match_the_seed(self, lead, take):
+        """iter_trace's order: ``lead`` uniform calls (the planner's), then
+        ``take`` stream draws (an odd count drops the stream mid-pair),
+        then uniform calls that go on where the stream's pairs stopped."""
+        for s in (0, 1, 7, 2**64 - 1):
+            rng, ref = DeterministicRng(s), SeedRng(s)
             for _ in range(lead):
-                assert rng.gauss(0.87, 0.005).hex() == ref.gauss(0.87, 0.005).hex()
+                assert rng.uniform(2.0, 3.0).hex() == ref.uniform(2.0, 3.0).hex()
             stream = rng.gausses(0.87, 0.005)
             for _ in range(take):
                 assert next(stream).hex() == ref.gauss(0.87, 0.005).hex()
             del stream
-            assert (rng._state, rng._spare) == (ref.rng._state, ref.spare)
             for _ in range(5):
-                assert rng.gauss(0.87, 0.005).hex() == ref.gauss(0.87, 0.005).hex()
+                assert rng.uniform(-1.0, 2.0).hex() == ref.uniform(-1.0, 2.0).hex()
 
-    @pytest.mark.parametrize("stream", [False, True])
-    def test_gauss_retries_a_zero_uniform(self, stream):
-        # the state whose next xorshift64* output is 1, so random() is 0.0
-        x = undo_xorshift(pow(0x2545F4914F6CDD1D, -1, 1 << 64))
-        rng, ref = DeterministicRng(0), ReferenceGauss(0)
-        rng._state = ref.rng._state = x
-        assert ref.rng.random() == 0.0
-        ref.rng._state = x
-        draw = rng.gausses().__next__ if stream else rng.gauss
-        for _ in range(4):
-            assert draw().hex() == ref.gauss().hex()
-        assert rng._state == ref.rng._state
+    def test_uniforms_between_stream_draws_match_the_seed(self):
+        for s in range(5):
+            rng, ref = DeterministicRng(s), SeedRng(s)
+            stream = rng.gausses(0.87, 0.005)
+            for i in range(100_000):
+                if i % 7 == 0:
+                    assert rng.uniform(-1.0, 2.0).hex() == ref.uniform(-1.0, 2.0).hex()
+                assert next(stream).hex() == ref.gauss(0.87, 0.005).hex()
+
+    def test_a_zero_uniform_is_redrawn_as_the_seed_does(self):
+        # the seed whose splitmix64 image is the state whose next xorshift64*
+        # output is 1, so the first uniform is 0.0
+        s = undo_splitmix64(undo_xorshift(pow(0x2545F4914F6CDD1D, -1, 1 << 64)))
+        assert DeterministicRng(s).uniform(0.0, 1.0) == 0.0
+        stream, ref = DeterministicRng(s).gausses(), SeedRng(s)
+        for _ in range(6):
+            assert next(stream).hex() == ref.gauss().hex()
+
+
+def _undo_shift(x, shift, left=False):
+    """The y that ``y ^= y << shift`` (or ``>>``) turns into ``x``."""
+    mask = (1 << 64) - 1
+    y = x
+    for _ in range(64):  # y reaches its fixed point within 64 // shift + 1 rounds
+        y = x ^ ((y << shift) & mask if left else y >> shift)
+    return y
 
 
 def undo_xorshift(x):
     """The state that one xorshift step (x ^= x >> 12; x ^= x << 25;
     x ^= x >> 27) turns into ``x``."""
+    return _undo_shift(_undo_shift(_undo_shift(x, 27), 25, left=True), 12)
+
+
+def undo_splitmix64(z):
+    """The seed that rng's splitmix64 step, a bijection, turns into ``z``."""
     mask = (1 << 64) - 1
-    for shift, left in ((27, False), (25, True), (12, False)):
-        y = x
-        for _ in range(64):  # y reaches its fixed point within 64 // shift + 1 rounds
-            y = x ^ ((y << shift) & mask if left else y >> shift)
-        x = y
-    return x
-
-
-class ReferenceGauss:
-    """DeterministicRng.gauss in its three-call form: each uniform is
-    random() over next_u64()."""
-
-    def __init__(self, seed):
-        self.rng = DeterministicRng(seed)
-        self.spare = None
-
-    def gauss(self, mu=0.0, sigma=1.0):
-        if self.spare is not None:
-            z, self.spare = self.spare, None
-            return mu + sigma * z
-        u1 = 0.0
-        while u1 == 0.0:
-            u1 = self.rng.random()
-        u2 = self.rng.random()
-        r = math.sqrt(-2.0 * math.log(u1))
-        self.spare = r * math.sin(2.0 * math.pi * u2)
-        return mu + sigma * r * math.cos(2.0 * math.pi * u2)
+    z = (_undo_shift(z, 31) * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
+    z = (_undo_shift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
+    return (_undo_shift(z, 30) - 0x9E3779B97F4A7C15) & mask

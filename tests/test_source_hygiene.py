@@ -1,5 +1,5 @@
-"""Static checks on the package source: no public name that nothing else
-uses, and no import that its module does not use."""
+"""Static checks on the package source: no public name or method that
+nothing else uses, and no import that its module does not use."""
 
 import ast
 from pathlib import Path
@@ -12,10 +12,10 @@ def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _referenced(*nodes):
-    """Every name the code reads, imports by name or reads as an attribute."""
+def _names(nodes):
+    """Every name the nodes read, import by name or read as an attribute."""
     names = set()
-    for node in (n for top in nodes for n in ast.walk(top)):
+    for node in nodes:
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -23,6 +23,21 @@ def _referenced(*nodes):
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
     return names
+
+
+def _referenced(*trees):
+    """``_names`` of every node of the trees."""
+    return _names(node for top in trees for node in ast.walk(top))
+
+
+def _walk_outside(tree, skip):
+    """``ast.walk`` over ``tree`` without the subtree ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is not skip:
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
 
 
 MODULES = {path.stem: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
@@ -44,6 +59,20 @@ def test_every_public_name_has_a_user_outside_its_definition():
             users += [top for top in tree.body if top is not node]
             if node.name not in _referenced(*users) | BENCH:
                 unused.append(f"{name}.{node.name}")
+    assert unused == []
+
+
+def test_every_public_method_has_a_user_outside_its_definition():
+    """A public method of a package class is read, as an attribute or a
+    name, by the package outside its own def or by the benchmark."""
+    unused = []
+    for name, tree in MODULES.items():
+        others = _referenced(*(t for n, t in MODULES.items() if n not in (name, "__init__")))
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and node.name not in others | BENCH | _names(_walk_outside(tree, node))):
+                    unused.append(f"{name}.{cls.name}.{node.name}")
     assert unused == []
 
 
